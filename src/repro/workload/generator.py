@@ -8,6 +8,12 @@ the spec's key distribution, and the read/update/insert decision follows the
 spec's operation mix.  Results are recorded per operation so the harness can
 report client-observed latency, throughput and error rates alongside the
 consistency metrics.
+
+Both arrival modes are Poisson open-loop arrivals driven by one loop; the
+``WorkloadSpec.open_loop`` flag only selects where the draws come from: one
+interleaved scalar stream (the default) or one chunked stream per draw type.
+Tenants add a key-space picker and optional burst processes on top of
+either source.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from ..simulation.timeseries import TimeSeries
 from .distributions import KeyDistribution, make_distribution
 from .load_shapes import ConstantLoad, LoadShape
 from .operations import OperationMix, READ_HEAVY, RecordSizer
-from .tenants import TenantPopulation, TenantProfile, TenantSpec
+from .tenants import TenantPopulation, TenantSpec
 
 __all__ = [
     "CONSISTENCY_OVERRIDE_KINDS",
@@ -44,13 +50,11 @@ CONSISTENCY_OVERRIDE_KINDS = ("read", "update", "insert")
 class _ChunkedDraws:
     """Chunked consumption of one single-consumer RNG stream.
 
-    The vectorized open-loop arrival mode gives every draw type its own
-    dedicated stream (``workload:{name}:gap`` / ``:mix`` / ``:key`` /
-    ``:size``), which makes each stream single-consumer — the precondition
-    under which one chunked draw equals the same draws made sequentially
-    (PERFORMANCE.md rule 1).  This helper refills a chunk when exhausted and
-    hands values out one at a time, so the arrival loop finally claims the
-    ~50× chunked-draw headroom the preload demonstrated.
+    A stream with a single consumer (the chunked source's ``:gap`` /
+    ``:mix`` / ``:key`` / ``:size`` streams, the tenant pick's ``:tenant``)
+    can be drawn a chunk at a time: one chunked draw equals the same draws
+    made sequentially (PERFORMANCE.md rule 1).  This helper refills a chunk
+    when exhausted and hands values out one at a time.
     """
 
     __slots__ = ("_refill", "_buffer", "_position")
@@ -78,8 +82,7 @@ class _LatencyBuffer:
     million-operation run re-converted an ever-growing list with
     ``np.asarray`` on every summary, which made reporting quadratic overall.
     The buffer stores samples in a numpy array that doubles when full, so
-    :meth:`as_array` is a zero-copy view.  It keeps the small list-like
-    surface (append/len/iter/index) callers relied on.
+    :meth:`as_array` is a zero-copy view.
     """
 
     __slots__ = ("_data", "_size")
@@ -102,18 +105,6 @@ class _LatencyBuffer:
     def as_array(self) -> np.ndarray:
         """Zero-copy ``float64`` view of the samples recorded so far."""
         return self._data[: self._size]
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def __iter__(self):
-        return iter(self.as_array())
-
-    def __getitem__(self, index):
-        return self.as_array()[index]
 
 
 @dataclass
@@ -151,25 +142,18 @@ class WorkloadSpec:
     tenantless run never opens (PERFORMANCE.md rule 3)."""
 
     open_loop: bool = False
-    """Opt-in vectorized open-loop arrival mode.  Instead of interleaving
-    gap/mix/key/size draws on the single ``workload:<name>`` stream (which
-    forces every draw to stay scalar — rule 1), each draw type gets its own
-    dedicated stream (``workload:<name>:gap`` / ``:mix`` / ``:key`` /
-    ``:size``) consumed in chunks.  This is a *new scenario mode* on new
-    stream names (rule 3): results differ from the classic mode by design,
-    while the default ``False`` keeps the seed-pinned bitstream untouched.
-    Two semantic differences to be aware of: the preload still draws sizes
-    on the base stream (it was already chunked there), and key indices are
-    pre-drawn a chunk at a time, so inserts only widen the key-popularity
-    distribution for draws in *later* chunks.
-
-    Composes with ``tenants``: main arrivals consume the *same* chunked
-    ``:gap``/``:mix``/``:key``/``:size`` sequences a tenantless open-loop run
-    does (no draw is reordered — rule 3); the tenant pick is chunked on the
-    dedicated ``:tenant`` stream, and each burst override draws from its own
-    four chunked ``:tenant:<idx>:gap``/``:mix``/``:key``/``:size`` streams
-    (distinct names from the classic mode's interleaved ``:tenant:<idx>``
-    stream, which a tenant open-loop run never opens)."""
+    """Select chunked draw streams.  Arrivals are Poisson open-loop in both
+    modes; the flag only changes where the draws come from.  ``False`` (the
+    default) interleaves gap/mix/key/size draws on the single
+    ``workload:<name>`` stream, which keeps every draw scalar (rule 1).
+    ``True`` gives each draw type its own stream (``workload:<name>:gap`` /
+    ``:mix`` / ``:key`` / ``:size``, and ``workload:<name>:tenant:<idx>:gap``
+    etc. for a burst override) consumed in chunks.  That is a new scenario
+    on new stream names (rule 3), so its results differ from the default
+    mode by design.  The preload still draws sizes on the base stream, and
+    key indices are pre-drawn a chunk at a time, so inserts only widen the
+    key-popularity distribution for draws in *later* chunks.  The tenant pick
+    is the same chunked ``:tenant`` stream in both modes."""
 
     def __post_init__(self) -> None:
         unknown = set(self.consistency_overrides) - set(CONSISTENCY_OVERRIDE_KINDS)
@@ -179,6 +163,13 @@ class WorkloadSpec:
                 f"expected a subset of {CONSISTENCY_OVERRIDE_KINDS}"
             )
 
+    @property
+    def records_per_key_space(self) -> int:
+        """Initial records in one key space: the whole one, or one tenant's."""
+        if self.tenants is not None:
+            return self.tenants.records_per_tenant
+        return self.record_count
+
     def build_distribution(self) -> KeyDistribution:
         """Instantiate the configured key distribution.
 
@@ -186,13 +177,9 @@ class WorkloadSpec:
         (``records_per_tenant``); every tenant shares the same popularity
         shape over its own prefix.
         """
-        record_count = (
-            self.tenants.records_per_tenant if self.tenants is not None
-            else self.record_count
-        )
         return make_distribution(
             self.key_distribution,
-            record_count,
+            self.records_per_key_space,
             zipf_theta=self.zipf_theta,
             hot_fraction=self.hot_fraction,
             hot_operation_fraction=self.hot_operation_fraction,
@@ -414,12 +401,109 @@ class WorkloadStats:
         }
 
 
-class _TenantRuntime:
-    """Per-tenant hot-path state (hints, insert cursor, stats entry)."""
+#: Draws pre-fetched per chunked-stream refill; large enough to amortise the
+#: numpy call, small enough not to matter for memory.
+_CHUNK = 4096
+
+#: Poll interval of an arrival process whose rate is ~0 (a quiescent burst).
+_IDLE_POLL = 1.0
+
+
+class _ScalarSource:
+    """Arrival draws interleaved on one stream, one scalar draw at a time.
+
+    The default mode: gap, then kind, then key index, then size all come
+    from one stream (``workload:<name>``, or ``workload:<name>:tenant:<idx>``
+    for a burst), so no draw type can be chunked (PERFORMANCE.md rule 1).
+    """
+
+    __slots__ = ("_rng", "_mix", "_distribution", "_sizer")
+
+    def __init__(
+        self, rng, mix: OperationMix, distribution: KeyDistribution, sizer: RecordSizer
+    ) -> None:
+        self._rng = rng
+        self._mix = mix
+        self._distribution = distribution
+        self._sizer = sizer
+
+    def gap(self, rate: float) -> float:
+        return float(self._rng.exponential(1.0 / rate))
+
+    def kind(self) -> str:
+        return self._mix.choose(self._rng)
+
+    def key_index(self) -> int:
+        return self._distribution.next_index(self._rng)
+
+    def size(self) -> int:
+        return self._sizer.next_size(self._rng)
+
+
+class _ChunkedSource:
+    """Arrival draws from one dedicated stream per draw type, in chunks.
+
+    The ``open_loop`` mode: ``<base>:gap`` / ``:mix`` / ``:key`` / ``:size``
+    each have a single consumer, so each is drawn a chunk at a time.  A unit
+    exponential divided by the rate has exactly the ``Exponential(1/rate)``
+    distribution the scalar source draws.
+    """
+
+    __slots__ = ("_mix", "_gaps", "_kinds", "_keys", "_sizes")
+
+    def __init__(
+        self,
+        streams,
+        base: str,
+        mix: OperationMix,
+        distribution: KeyDistribution,
+        sizer: RecordSizer,
+    ) -> None:
+        gap_rng = streams.stream(f"{base}:gap")
+        mix_rng = streams.stream(f"{base}:mix")
+        key_rng = streams.stream(f"{base}:key")
+        size_rng = streams.stream(f"{base}:size")
+        self._mix = mix
+        self._gaps = _ChunkedDraws(lambda: gap_rng.exponential(1.0, size=_CHUNK))
+        self._kinds = _ChunkedDraws(lambda: mix_rng.random(_CHUNK))
+        self._keys = _ChunkedDraws(lambda: distribution.next_indices(key_rng, _CHUNK))
+        self._sizes = _ChunkedDraws(lambda: sizer.next_sizes(size_rng, _CHUNK))
+
+    def gap(self, rate: float) -> float:
+        return float(self._gaps.next()) / rate
+
+    def kind(self) -> str:
+        return self._mix.kind_for(float(self._kinds.next()))
+
+    def key_index(self) -> int:
+        return int(self._keys.next())
+
+    def size(self) -> int:
+        return int(self._sizes.next())
+
+
+def _hints(
+    base: Optional[Dict[str, object]], overrides: Dict[str, ConsistencyLevel], kind: str
+) -> Optional[Dict[str, object]]:
+    """Request hints for one operation kind (None when there are none)."""
+    hints = dict(base or ())
+    if kind in overrides:
+        hints[CONSISTENCY_HINT] = overrides[kind]
+    return hints or None
+
+
+class _KeySpace:
+    """The keys one issuer writes to: prefix, per-kind hints, insert cursor.
+
+    The tenantless key space has no stats entry, and its inserts grow the
+    shared popularity distribution.  A tenant's key space counts its
+    operations in its :class:`TenantOpStats` entry, and its inserts only
+    advance its private cursor: the distribution spans one tenant's
+    *initial* key space for every tenant alike.
+    """
 
     __slots__ = (
-        "profile",
-        "key_prefix",
+        "prefix",
         "read_hints",
         "update_hints",
         "insert_hints",
@@ -429,75 +513,47 @@ class _TenantRuntime:
 
     def __init__(
         self,
-        profile: TenantProfile,
+        prefix: str,
+        records: int,
         overrides: Dict[str, ConsistencyLevel],
-        records_per_tenant: int,
-        stats: TenantOpStats,
+        base_hints: Optional[Dict[str, object]] = None,
+        stats: Optional[TenantOpStats] = None,
     ) -> None:
-        self.profile = profile
-        self.key_prefix = profile.key_prefix
-        base = {TENANT_HINT: profile.tenant_id, TENANT_TIER_HINT: profile.tier.name}
-        self.read_hints = dict(base)
-        self.update_hints = dict(base)
-        self.insert_hints = dict(base)
-        if "read" in overrides:
-            self.read_hints[CONSISTENCY_HINT] = overrides["read"]
-        if "update" in overrides:
-            self.update_hints[CONSISTENCY_HINT] = overrides["update"]
-        if "insert" in overrides:
-            self.insert_hints[CONSISTENCY_HINT] = overrides["insert"]
-        self.next_record_index = records_per_tenant
+        self.prefix = prefix
+        self.read_hints = _hints(base_hints, overrides, "read")
+        self.update_hints = _hints(base_hints, overrides, "update")
+        self.insert_hints = _hints(base_hints, overrides, "insert")
+        self.next_record_index = records
         self.stats = stats
 
 
-class _BurstProcess:
-    """One superposed arrival process (a tenant's load-shape override).
+def _fixed(space: _KeySpace) -> Callable[[], _KeySpace]:
+    """A key-space picker that always picks ``space``."""
+    return lambda: space
 
-    Draws *all* of its randomness — arrival gaps, operation kinds, key
-    indexes, record sizes — from its own dedicated stream
-    (``workload:<name>:tenant:<idx>``), so adding or removing a burst leaves
-    every other stream's bitstream untouched (PERFORMANCE.md rule 3).
+
+class _ArrivalProcess:
+    """One Poisson arrival process: rate, draw source, key-space pick, label.
+
+    The main process follows the spec's load shape; each burst (a tenant's
+    load-shape override, superposed on the main traffic) follows its own
+    shape and draws from its own streams, so adding or removing one leaves
+    every other stream untouched (PERFORMANCE.md rule 3).
     """
 
-    __slots__ = ("runtime", "shape", "rng", "label")
-
-    def __init__(self, runtime: "_TenantRuntime", shape: LoadShape, rng, label: str) -> None:
-        self.runtime = runtime
-        self.shape = shape
-        self.rng = rng
-        self.label = label
-
-
-class _OpenLoopBurst:
-    """A tenant's load-shape override in open-loop arrival mode.
-
-    Same superposed process as :class:`_BurstProcess`, but every draw type
-    lives on its own dedicated single-consumer stream
-    (``workload:<name>:tenant:<idx>:gap`` / ``:mix`` / ``:key`` / ``:size``)
-    so each can be consumed in chunks.  The stream names are distinct from
-    the classic mode's interleaved ``workload:<name>:tenant:<idx>`` stream —
-    a new arrival mode draws from new streams (PERFORMANCE.md rule 3).
-    """
-
-    __slots__ = ("runtime", "shape", "label", "gap_draws", "mix_draws", "key_draws", "size_draws")
+    __slots__ = ("rate", "draws", "pick", "label")
 
     def __init__(
         self,
-        runtime: "_TenantRuntime",
-        shape: LoadShape,
+        rate: Callable[[float], float],
+        draws,
+        pick: Callable[[], _KeySpace],
         label: str,
-        gap_draws: _ChunkedDraws,
-        mix_draws: _ChunkedDraws,
-        key_draws: _ChunkedDraws,
-        size_draws: _ChunkedDraws,
     ) -> None:
-        self.runtime = runtime
-        self.shape = shape
+        self.rate = rate
+        self.draws = draws
+        self.pick = pick
         self.label = label
-        self.gap_draws = gap_draws
-        self.mix_draws = mix_draws
-        self.key_draws = key_draws
-        self.size_draws = size_draws
 
 
 class WorkloadGenerator:
@@ -517,160 +573,91 @@ class WorkloadGenerator:
         self._rng = simulator.streams.stream(f"workload:{name}")
         self._distribution = self.spec.build_distribution()
         self._sizer = RecordSizer(self.spec.mean_record_size, self.spec.record_size_cv)
-        self._mix = self.spec.operation_mix
         self._running = False
-        self._next_record_index = self.spec.record_count
         self.stats = WorkloadStats()
-        self._rate_sample_accumulator = 0
-        # Hot-path constants: the arrival label and key prefix used to be
-        # re-rendered on every single operation.
-        self._arrival_label = f"{name}:arrival"
-        self._key_prefix = self.spec.key_prefix
-        # Per-kind hint dicts are materialised once; the default (no
-        # overrides) keeps them None so the issue path stays allocation-free.
-        overrides = self.spec.consistency_overrides
-        self._read_hints = (
-            {CONSISTENCY_HINT: overrides["read"]} if "read" in overrides else None
-        )
-        self._update_hints = (
-            {CONSISTENCY_HINT: overrides["update"]} if "update" in overrides else None
-        )
-        self._insert_hints = (
-            {CONSISTENCY_HINT: overrides["insert"]} if "insert" in overrides else None
-        )
 
-        # Multi-tenant mode.  All tenant-related stochastic choices live on
-        # *new* named streams, so a tenantless run (population is None) opens
-        # none of them and stays bit-identical to seed (rule 3).  The issue
-        # path is bound once so the tenantless hot path keeps its exact shape.
+        # All tenant stochastic choices live on *new* named streams, so a
+        # tenantless run opens none of them (rule 3).
+        overrides = self.spec.consistency_overrides
+        records = self.spec.records_per_key_space
         tenant_spec = self.spec.tenants
-        if tenant_spec is not None:
-            self.population: Optional[TenantPopulation] = TenantPopulation(tenant_spec)
-            self._tenant_rng = simulator.streams.stream(f"workload:{name}:tenant")
-            tenant_stats = self.stats.enable_tenant_tracking(
-                profile.tenant_id for profile in self.population.profiles
-            )
-            self._tenants = [
-                _TenantRuntime(
-                    profile,
+        if tenant_spec is None:
+            self.population: Optional[TenantPopulation] = None
+            self._key_spaces = [_KeySpace(self.spec.key_prefix, records, overrides)]
+            pick = _fixed(self._key_spaces[0])
+        else:
+            self.population = TenantPopulation(tenant_spec)
+            profiles = self.population.profiles
+            tenant_stats = self.stats.enable_tenant_tracking(p.tenant_id for p in profiles)
+            self._key_spaces = [
+                _KeySpace(
+                    profile.key_prefix,
+                    records,
                     overrides,
-                    tenant_spec.records_per_tenant,
+                    {TENANT_HINT: profile.tenant_id, TENANT_TIER_HINT: profile.tier.name},
                     tenant_stats[profile.tenant_id],
                 )
-                for profile in self.population.profiles
+                for profile in profiles
             ]
-            if self.spec.open_loop:
-                # Open-loop bursts are built in the open-loop block below on
-                # their own ``:tenant:<idx>:*`` streams; the classic
-                # interleaved ``:tenant:<idx>`` streams are never opened.
-                self._bursts = []
-            else:
-                self._bursts = [
-                    _BurstProcess(
-                        self._tenants[index],
-                        shape,
-                        simulator.streams.stream(f"workload:{name}:tenant:{index}"),
-                        f"{name}:tenant-burst:{index}",
-                    )
-                    for index, shape in sorted(tenant_spec.load_shape_overrides.items())
-                ]
-            self._issue: Callable[[], None] = self._issue_one_tenant
-        else:
-            self.population = None
-            self._tenant_rng = None
-            self._tenants = []
-            self._bursts = []
-            self._issue = self._issue_one
+            pick = self._tenant_picker()
 
-        # Vectorized open-loop mode: each draw type on its own dedicated
-        # stream, consumed in chunks.  Binding instance attributes here (the
-        # issue callable and a shadowing `_schedule_next_arrival`) keeps the
-        # classic path's code shape untouched when the mode is off.
-        if self.spec.open_loop:
-            chunk = self._OPEN_LOOP_CHUNK
-            gap_rng = simulator.streams.stream(f"workload:{name}:gap")
-            mix_rng = simulator.streams.stream(f"workload:{name}:mix")
-            key_rng = simulator.streams.stream(f"workload:{name}:key")
-            size_rng = simulator.streams.stream(f"workload:{name}:size")
-            self._gap_draws = _ChunkedDraws(
-                lambda: gap_rng.exponential(1.0, size=chunk)
+        self._processes = [
+            _ArrivalProcess(
+                self._arrival_rate, self._draws(f"workload:{name}"), pick, f"{name}:arrival"
             )
-            self._mix_draws = _ChunkedDraws(lambda: mix_rng.random(chunk))
-            self._key_draws = _ChunkedDraws(
-                lambda: self._distribution.next_indices(key_rng, chunk)
-            )
-            self._size_draws = _ChunkedDraws(
-                lambda: self._sizer.next_sizes(size_rng, chunk)
-            )
-            self._issue = self._issue_one_open
-            self._schedule_next_arrival = self._schedule_next_arrival_open
-            if self.population is not None:
-                # Tenant dimension on top of open-loop arrivals: the main
-                # process keeps the exact tenantless draw sequences above
-                # (rule 3 — nothing reordered), the tenant pick is chunked
-                # on its dedicated ``:tenant`` stream, and each burst
-                # override gets four chunked streams of its own.
-                tenant_rng = self._tenant_rng
-                self._tenant_draws = _ChunkedDraws(lambda: tenant_rng.random(chunk))
-                self._bursts = [
-                    _OpenLoopBurst(
-                        self._tenants[index],
-                        shape,
+        ]
+        if tenant_spec is not None:
+            for index, shape in sorted(tenant_spec.load_shape_overrides.items()):
+                self._processes.append(
+                    _ArrivalProcess(
+                        shape.rate,
+                        self._draws(f"workload:{name}:tenant:{index}"),
+                        _fixed(self._key_spaces[index]),
                         f"{name}:tenant-burst:{index}",
-                        *self._make_burst_draws(index),
                     )
-                    for index, shape in sorted(
-                        tenant_spec.load_shape_overrides.items()
-                    )
-                ]
-                self._issue = self._issue_one_open_tenant
-                self._schedule_burst = self._schedule_burst_open
+                )
+
+    def _draws(self, base: str):
+        """The draw source for a process whose streams are named ``base``."""
+        streams = self._simulator.streams
+        mix = self.spec.operation_mix
+        if self.spec.open_loop:
+            return _ChunkedSource(streams, base, mix, self._distribution, self._sizer)
+        return _ScalarSource(streams.stream(base), mix, self._distribution, self._sizer)
+
+    def _tenant_picker(self) -> Callable[[], _KeySpace]:
+        """Pick the main process's tenant from the chunked ``:tenant`` stream.
+
+        The pick is that stream's only consumer, so chunked draws equal the
+        sequential ones (rule 1).
+        """
+        tenant_rng = self._simulator.streams.stream(f"workload:{self.name}:tenant")
+        draws = _ChunkedDraws(lambda: tenant_rng.random(_CHUNK))
+        choose_index = self.population.choose_index
+        spaces = self._key_spaces
+        return lambda: spaces[choose_index(float(draws.next()))]
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def preload(self) -> int:
-        """Insert the initial data set directly into the cluster."""
+        """Insert the initial data set directly into the cluster.
+
+        Sizes are the only draws on the base workload stream at preload
+        time, so every key space's sizes are drawn in one chunk — bitwise
+        equal to a per-record loop (single-consumer stream; PERFORMANCE.md).
+        """
         if not self.spec.preload:
             return 0
-        if self.population is not None:
-            return self._preload_tenants()
-        count = int(self.spec.record_count * self.spec.preload_fraction)
-        # Sizes are the only draws on the workload stream during preload, so
-        # the whole batch is drawn in one chunk — bitwise-equal to the old
-        # per-record loop (single-consumer stream; see PERFORMANCE.MD).
-        drawn = self._sizer.next_sizes(self._rng, count).tolist()
-        key_for = self._distribution.key_for
-        prefix = self._key_prefix
-        items: Dict[str, bytes] = {}
-        sizes: Dict[str, int] = {}
-        for index, size in enumerate(drawn):
-            key = key_for(index, prefix)
-            items[key] = b"\x00" * min(size, 64)
-            sizes[key] = size
-        return self._cluster.preload(items, sizes)
-
-    def _preload_tenants(self) -> int:
-        """Preload every tenant's key space (tenant mode only).
-
-        All record sizes are still drawn in one chunk on the base workload
-        stream — sizes are its only consumer at preload time, exactly like
-        the tenantless path.
-        """
-        per_tenant = int(
-            self.spec.tenants.records_per_tenant * self.spec.preload_fraction
-        )
-        total = per_tenant * len(self._tenants)
-        drawn = self._sizer.next_sizes(self._rng, total).tolist()
+        per_space = int(self.spec.records_per_key_space * self.spec.preload_fraction)
+        drawn = self._sizer.next_sizes(self._rng, per_space * len(self._key_spaces)).tolist()
         key_for = self._distribution.key_for
         items: Dict[str, bytes] = {}
         sizes: Dict[str, int] = {}
-        cursor = 0
-        for runtime in self._tenants:
-            prefix = runtime.key_prefix
-            for index in range(per_tenant):
-                size = drawn[cursor]
-                cursor += 1
+        for number, space in enumerate(self._key_spaces):
+            prefix = space.prefix
+            first = number * per_space
+            for index, size in enumerate(drawn[first : first + per_space]):
                 key = key_for(index, prefix)
                 items[key] = b"\x00" * min(size, 64)
                 sizes[key] = size
@@ -681,9 +668,8 @@ class WorkloadGenerator:
         if self._running:
             return
         self._running = True
-        self._schedule_next_arrival()
-        for burst in self._bursts:
-            self._schedule_burst(burst)
+        for process in self._processes:
+            self._schedule(process)
         self._simulator.call_every(
             10.0,
             self._sample_offered_rate,
@@ -696,256 +682,68 @@ class WorkloadGenerator:
         self._running = False
 
     # ------------------------------------------------------------------
-    # Arrival process
+    # Arrival loop
     # ------------------------------------------------------------------
     def current_rate(self) -> float:
         """The target arrival rate right now (ops/second)."""
-        return max(self.spec.min_rate, self.spec.load_shape.rate(self._simulator.now))
+        return self._arrival_rate(self._simulator.now)
 
-    def _schedule_next_arrival(self) -> None:
+    def _arrival_rate(self, now: float) -> float:
+        return max(self.spec.min_rate, self.spec.load_shape.rate(now))
+
+    def _schedule(self, process: _ArrivalProcess) -> None:
         if not self._running:
             return
-        rate = self.current_rate()
-        gap = float(self._rng.exponential(1.0 / rate))
-        self._simulator.schedule_in(gap, self._arrival, label=self._arrival_label)
-
-    def _arrival(self) -> None:
-        if not self._running:
-            return
-        self._issue()
-        self._schedule_next_arrival()
-
-    def _issue_one(self) -> None:
-        rng = self._rng
-        distribution = self._distribution
-        stats = self.stats
-        kind = self._mix.choose(rng)
-        if kind == "read":
-            index = distribution.next_index(rng)
-            key = distribution.key_for(index, self._key_prefix)
-            stats.reads_issued += 1
-            self._cluster.read(
-                key, on_complete=stats.record_read, hints=self._read_hints
-            )
-            return
-        if kind == "insert":
-            index = self._next_record_index
-            self._next_record_index += 1
-            distribution.grow(self._next_record_index)
-            hints = self._insert_hints
-        else:
-            index = distribution.next_index(rng)
-            hints = self._update_hints
-        key = distribution.key_for(index, self._key_prefix)
-        size = self._sizer.next_size(rng)
-        stats.writes_issued += 1
-        self._cluster.write(
-            key,
-            value=b"\x00" * min(size, 64),
-            size=size,
-            on_complete=stats.record_write,
-            hints=hints,
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorized open-loop mode (new streams only; see PERFORMANCE.md)
-    # ------------------------------------------------------------------
-    #: Draws pre-fetched per stream refill; large enough to amortise the
-    #: numpy call, small enough not to matter for memory.
-    _OPEN_LOOP_CHUNK = 4096
-
-    def _schedule_next_arrival_open(self) -> None:
-        """Open-loop arrival scheduling from chunked unit-exponential gaps.
-
-        A unit exponential divided by the current rate has exactly the
-        ``Exponential(1/rate)`` distribution the scalar path draws, while
-        keeping the ``:gap`` stream single-consumer and therefore chunkable.
-        """
-        if not self._running:
-            return
-        rate = self.current_rate()
-        gap = float(self._gap_draws.next()) / rate
-        self._simulator.schedule_in(gap, self._arrival, label=self._arrival_label)
-
-    def _issue_one_open(self) -> None:
-        """One arrival with all randomness consumed from chunked buffers."""
-        stats = self.stats
-        distribution = self._distribution
-        kind = self._mix.kind_for(float(self._mix_draws.next()))
-        if kind == "read":
-            index = int(self._key_draws.next())
-            key = distribution.key_for(index, self._key_prefix)
-            stats.reads_issued += 1
-            self._cluster.read(
-                key, on_complete=stats.record_read, hints=self._read_hints
-            )
-            return
-        if kind == "insert":
-            index = self._next_record_index
-            self._next_record_index += 1
-            distribution.grow(self._next_record_index)
-            hints = self._insert_hints
-        else:
-            index = int(self._key_draws.next())
-            hints = self._update_hints
-        key = distribution.key_for(index, self._key_prefix)
-        size = int(self._size_draws.next())
-        stats.writes_issued += 1
-        self._cluster.write(
-            key,
-            value=b"\x00" * min(size, 64),
-            size=size,
-            on_complete=stats.record_write,
-            hints=hints,
-        )
-
-    def _make_burst_draws(self, index: int):
-        """Chunked draw buffers for one open-loop burst's four streams."""
-        chunk = self._OPEN_LOOP_CHUNK
-        streams = self._simulator.streams
-        base = f"workload:{self.name}:tenant:{index}"
-        gap_rng = streams.stream(f"{base}:gap")
-        mix_rng = streams.stream(f"{base}:mix")
-        key_rng = streams.stream(f"{base}:key")
-        size_rng = streams.stream(f"{base}:size")
-        return (
-            _ChunkedDraws(lambda: gap_rng.exponential(1.0, size=chunk)),
-            _ChunkedDraws(lambda: mix_rng.random(chunk)),
-            _ChunkedDraws(lambda: self._distribution.next_indices(key_rng, chunk)),
-            _ChunkedDraws(lambda: self._sizer.next_sizes(size_rng, chunk)),
-        )
-
-    def _issue_one_open_tenant(self) -> None:
-        """One open-loop main-process arrival in tenant mode.
-
-        The tenant pick is the only extra draw, chunked on the dedicated
-        ``:tenant`` stream; kind/key/size stay on the shared open-loop
-        streams in exactly the tenantless order.
-        """
-        u = float(self._tenant_draws.next())
-        runtime = self._tenants[self.population.choose_index(u)]
-        self._issue_for_open(
-            runtime, self._mix_draws, self._key_draws, self._size_draws
-        )
-
-    def _issue_for_open(
-        self,
-        runtime: _TenantRuntime,
-        mix_draws: _ChunkedDraws,
-        key_draws: _ChunkedDraws,
-        size_draws: _ChunkedDraws,
-    ) -> None:
-        """Issue one operation for ``runtime``'s tenant from chunked buffers.
-
-        Mirrors :meth:`_issue_for` (same draw pattern per operation kind, so
-        the shared streams see the tenantless sequence) with the classic
-        tenant-insert semantics: the tenant's private key space grows, the
-        shared popularity distribution does not.
-        """
-        distribution = self._distribution
-        stats = self.stats
-        entry = runtime.stats
-        kind = self._mix.kind_for(float(mix_draws.next()))
-        if kind == "read":
-            index = int(key_draws.next())
-            key = distribution.key_for(index, runtime.key_prefix)
-            stats.reads_issued += 1
-            entry.reads_issued += 1
-            self._cluster.read(
-                key, on_complete=stats.record_read, hints=runtime.read_hints
-            )
-            return
-        if kind == "insert":
-            index = runtime.next_record_index
-            runtime.next_record_index += 1
-            hints = runtime.insert_hints
-        else:
-            index = int(key_draws.next())
-            hints = runtime.update_hints
-        key = distribution.key_for(index, runtime.key_prefix)
-        size = int(size_draws.next())
-        stats.writes_issued += 1
-        entry.writes_issued += 1
-        self._cluster.write(
-            key,
-            value=b"\x00" * min(size, 64),
-            size=size,
-            on_complete=stats.record_write,
-            hints=hints,
-        )
-
-    def _schedule_burst_open(self, burst: _OpenLoopBurst) -> None:
-        if not self._running:
-            return
-        rate = burst.shape.rate(self._simulator.now)
+        rate = process.rate(self._simulator.now)
         if rate <= 1e-9:
-            # Quiescent shape: poll without consuming any burst stream,
-            # exactly like the classic burst path.
+            # A quiescent shape (e.g. a flash crowd before its spike) polls
+            # without drawing anything.
             self._simulator.schedule_in(
-                self._BURST_IDLE_POLL,
-                self._burst_tick_open,
-                burst,
-                False,
-                label=burst.label,
+                _IDLE_POLL, self._tick, process, False, label=process.label
             )
             return
-        gap = float(burst.gap_draws.next()) / rate
         self._simulator.schedule_in(
-            gap, self._burst_tick_open, burst, True, label=burst.label
+            process.draws.gap(rate), self._tick, process, True, label=process.label
         )
 
-    def _burst_tick_open(self, burst: _OpenLoopBurst, issue: bool) -> None:
+    def _tick(self, process: _ArrivalProcess, issue: bool) -> None:
         if not self._running:
             return
         if issue:
-            self._issue_for_open(
-                burst.runtime, burst.mix_draws, burst.key_draws, burst.size_draws
-            )
-        self._schedule_burst_open(burst)
+            self._issue(process.draws, process.pick())
+        self._schedule(process)
 
-    # ------------------------------------------------------------------
-    # Tenant mode (new streams only; see PERFORMANCE.md rule 3)
-    # ------------------------------------------------------------------
-    def _issue_one_tenant(self) -> None:
-        """One main-process arrival in tenant mode.
+    def _issue(self, draws, space: _KeySpace) -> None:
+        """Issue one operation in ``space``.
 
-        The tenant choice is the only extra draw and it happens on the
-        dedicated ``workload:<name>:tenant`` stream; kind/key/size draws stay
-        on the base stream, matching the tenantless interleaving.
+        Every source sees the same draw order: the kind, then a key index
+        unless the operation is an insert, then a size for a write.
         """
-        u = float(self._tenant_rng.random())
-        runtime = self._tenants[self.population.choose_index(u)]
-        self._issue_for(runtime, self._rng)
-
-    def _issue_for(self, runtime: _TenantRuntime, rng) -> None:
-        """Issue one operation on behalf of ``runtime``'s tenant."""
-        distribution = self._distribution
         stats = self.stats
-        entry = runtime.stats
-        kind = self._mix.choose(rng)
+        entry = space.stats
+        distribution = self._distribution
+        kind = draws.kind()
         if kind == "read":
-            index = distribution.next_index(rng)
-            key = distribution.key_for(index, runtime.key_prefix)
+            key = distribution.key_for(draws.key_index(), space.prefix)
             stats.reads_issued += 1
-            entry.reads_issued += 1
-            self._cluster.read(
-                key, on_complete=stats.record_read, hints=runtime.read_hints
-            )
+            if entry is not None:
+                entry.reads_issued += 1
+            self._cluster.read(key, on_complete=stats.record_read, hints=space.read_hints)
             return
         if kind == "insert":
-            # Inserts extend the tenant's private key space; the shared
-            # popularity distribution deliberately does not grow — it spans
-            # one tenant's *initial* key space for every tenant alike.
-            index = runtime.next_record_index
-            runtime.next_record_index += 1
-            hints = runtime.insert_hints
+            index = space.next_record_index
+            space.next_record_index = index + 1
+            if entry is None:  # only the tenantless key space grows it
+                distribution.grow(index + 1)
+            hints = space.insert_hints
         else:
-            index = distribution.next_index(rng)
-            hints = runtime.update_hints
-        key = distribution.key_for(index, runtime.key_prefix)
-        size = self._sizer.next_size(rng)
+            index = draws.key_index()
+            hints = space.update_hints
+        key = distribution.key_for(index, space.prefix)
+        size = draws.size()
         stats.writes_issued += 1
-        entry.writes_issued += 1
+        if entry is not None:
+            entry.writes_issued += 1
         self._cluster.write(
             key,
             value=b"\x00" * min(size, 64),
@@ -953,35 +751,11 @@ class WorkloadGenerator:
             on_complete=stats.record_write,
             hints=hints,
         )
-
-    _BURST_IDLE_POLL = 1.0
-
-    def _schedule_burst(self, burst: _BurstProcess) -> None:
-        if not self._running:
-            return
-        rate = burst.shape.rate(self._simulator.now)
-        if rate <= 1e-9:
-            # The shape is quiescent (e.g. a flash crowd before its spike):
-            # poll deterministically without consuming the burst stream.
-            self._simulator.schedule_in(
-                self._BURST_IDLE_POLL, self._burst_tick, burst, False, label=burst.label
-            )
-            return
-        gap = float(burst.rng.exponential(1.0 / rate))
-        self._simulator.schedule_in(
-            gap, self._burst_tick, burst, True, label=burst.label
-        )
-
-    def _burst_tick(self, burst: _BurstProcess, issue: bool) -> None:
-        if not self._running:
-            return
-        if issue:
-            self._issue_for(burst.runtime, burst.rng)
-        self._schedule_burst(burst)
 
     def _sample_offered_rate(self) -> None:
+        now = self._simulator.now
         rate = self.current_rate()
-        if self._bursts:
-            now = self._simulator.now
-            rate += sum(burst.shape.rate(now) for burst in self._bursts)
-        self.stats.offered_rate_series.record(self._simulator.now, rate)
+        bursts = self._processes[1:]
+        if bursts:
+            rate += sum(burst.rate(now) for burst in bursts)
+        self.stats.offered_rate_series.record(now, rate)

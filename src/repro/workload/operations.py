@@ -43,21 +43,13 @@ class OperationMix:
 
     def choose(self, rng: np.random.Generator) -> str:
         """Draw ``"read"``, ``"update"`` or ``"insert"`` according to the mix."""
-        draw = rng.random()
-        if draw < self.read_fraction:
-            return "read"
-        if draw < self.read_fraction + self.update_fraction:
-            return "update"
-        return "insert"
+        return self.kind_for(rng.random())
 
     def kind_for(self, draw: float) -> str:
         """Map a uniform draw in ``[0, 1)`` to an operation kind.
 
-        Same thresholds as :meth:`choose`, but the caller supplies the
-        uniform — this is how the vectorized open-loop arrival path consumes
-        chunked draws from its dedicated ``:mix`` stream.  Kept separate from
-        :meth:`choose` (rather than delegating) so the classic scalar path
-        pays no extra call frame.
+        The caller supplies the uniform, so a chunked ``:mix`` stream and a
+        scalar draw share these thresholds.
         """
         if draw < self.read_fraction:
             return "read"

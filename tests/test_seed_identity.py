@@ -16,10 +16,17 @@ stream name instead (see PERFORMANCE.md).
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.runner import Simulation, SimulationConfig
+from repro.runner import Simulation, SimulationConfig, SimulationReport
 from repro.simulation.randomness import (
     LognormalSampler,
     RandomStreams,
@@ -31,7 +38,10 @@ from repro.workload.distributions import (
     UniformKeys,
     ZipfianKeys,
 )
-from repro.workload.operations import RecordSizer
+from repro.workload.generator import WorkloadSpec
+from repro.workload.load_shapes import ConstantLoad, FlashCrowdLoad
+from repro.workload.operations import WRITE_HEAVY, RecordSizer
+from repro.workload.tenants import TenantSpec
 
 SEED = 42
 
@@ -77,6 +87,92 @@ def test_short_default_run_matches_seed_commit():
 def test_default_headline_matches_seed_commit():
     report = Simulation(SimulationConfig(seed=SEED)).run()
     assert report.headline() == HEADLINE_PINS
+
+
+def report_digest(report: SimulationReport) -> str:
+    """SHA-256 over the full report; floats are rendered exactly by ``repr``."""
+    text = json.dumps(report.as_dict(), sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Pinned arrival modes beyond the classic tenantless one
+# ----------------------------------------------------------------------
+#: Full-report digests of 60 s write-heavy runs (inserts included) in the
+#: arrival modes the default pins above do not reach; each was the same
+#: under two ``PYTHONHASHSEED`` values when captured.
+ARRIVAL_MODE_DIGESTS = {
+    "classic-tenants-burst": "7e07c6ba94ea9e815061c99de235d6e74494bad651865fd440128b0e2772ac8e",
+    "open-loop": "39167e0bb2d58796220f6e3e01d51fd2e9075edf32c39652d119f40ecc607c6f",
+    "open-loop-tenants-burst": "38ff19aedc8e1d138600e6d22c702d90ea729e40464b298278b9af35fd5cd3fe",
+}
+
+
+def _arrival_mode_config(mode: str) -> SimulationConfig:
+    tenants = None
+    if "tenants" in mode:
+        # Tenant 3's flash crowd idles until t=15 s, then bursts.
+        burst = FlashCrowdLoad(0.0, 60.0, 15.0, 5.0, 20.0, 5.0)
+        tenants = TenantSpec(tenants=20, records_per_tenant=25, load_shape_overrides={3: burst})
+    workload = WorkloadSpec(
+        record_count=2000,
+        operation_mix=WRITE_HEAVY,
+        load_shape=ConstantLoad(120.0),
+        tenants=tenants,
+        open_loop=mode.startswith("open-loop"),
+    )
+    return SimulationConfig(seed=SEED, duration=60.0, workload=workload)
+
+
+@pytest.mark.parametrize("mode", sorted(ARRIVAL_MODE_DIGESTS))
+def test_arrival_mode_report_matches_pin(mode):
+    report = Simulation(_arrival_mode_config(mode)).run()
+    assert report_digest(report) == ARRIVAL_MODE_DIGESTS[mode]
+
+
+# ----------------------------------------------------------------------
+# Same seed, same report in any process
+# ----------------------------------------------------------------------
+_SCALE_OUT_RUN = """
+import hashlib
+import json
+from repro.experiments.scenarios import (
+    build_config, standard_cluster, standard_sla, standard_workload,
+)
+from repro.runner import Simulation
+from repro.workload.operations import WRITE_HEAVY
+
+config = build_config(
+    label="hash-seed", seed=101, duration=60.0,
+    cluster=standard_cluster(nodes=3, replication_factor=3),
+    workload=standard_workload(200.0, mix=WRITE_HEAVY),
+    sla=standard_sla(), policy="sla_driven", evaluation_interval=20.0,
+)
+report = Simulation(config).run()
+assert report.controller_summary["scale_out_actions"] >= 1, "no scale-out"
+text = json.dumps(report.as_dict(), sort_keys=True, default=repr)
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+@pytest.mark.slow
+def test_scale_out_report_independent_of_hash_seed():
+    """A scale-out streams the cluster's known keys to the new node; their
+    order must not follow Python's per-process string hashing."""
+    root = Path(__file__).resolve().parents[1]
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(root / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", _SCALE_OUT_RUN],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.add(completed.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 # ----------------------------------------------------------------------

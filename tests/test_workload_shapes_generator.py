@@ -195,7 +195,7 @@ def test_inserts_extend_the_key_space():
     generator.preload()
     generator.start()
     simulator.run_until(10.0)
-    assert generator._next_record_index > 50
+    assert generator._distribution.record_count > 50
     assert generator.stats.writes_issued > 0
 
 

@@ -153,19 +153,31 @@ def test_tenant_draws_use_new_named_streams():
     _cluster, generator = make_tenant_generator(
         simulator, tenants=8, overrides={3: FlashCrowdLoad(0.0, 50.0, 10.0, 5.0, 20.0, 5.0)}
     )
-    # The tenant pick draws from the dedicated stream, not the base one.
-    assert generator._tenant_rng is simulator.streams.stream("workload:workload:tenant")
-    assert generator._tenant_rng is not simulator.streams.stream("workload:workload")
-    # Each burst override owns its own per-index stream.
-    assert len(generator._bursts) == 1
-    assert generator._bursts[0].rng is simulator.streams.stream(
-        "workload:workload:tenant:3"
-    )
+    generator.preload()
+    generator.start()
+    simulator.run_until(20.0)
+    # Base stream, the dedicated tenant-pick stream, and one per-index
+    # stream for the burst override — nothing else.
+    assert workload_streams(simulator) == {
+        "workload:workload",
+        "workload:workload:tenant",
+        "workload:workload:tenant:3",
+    }
     # A tenantless generator opens none of them.
     plain_sim = Simulator(seed=42)
     _c, plain = make_plain_generator(plain_sim)
-    assert plain._tenant_rng is None
-    assert plain._bursts == []
+    plain.preload()
+    plain.start()
+    plain_sim.run_until(20.0)
+    assert workload_streams(plain_sim) == {"workload:workload"}
+
+
+def workload_streams(simulator):
+    return {
+        name
+        for name in simulator.streams.known_streams()
+        if name.startswith("workload:")
+    }
 
 
 def make_plain_generator(simulator, rate=100.0):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 from ..middleware import (
     DEFAULT_REQUEST_PIPELINE,
@@ -330,6 +330,28 @@ class Cluster:
         self._coordinator_cursor = (self._coordinator_cursor + 1) % len(serving)
         return serving[self._coordinator_cursor]
 
+    def _fail_unserved(
+        self,
+        result_type: Type[Union[ReadResult, WriteResult]],
+        key: str,
+        operation: OperationType,
+        level: ConsistencyLevel,
+        callback: Callable[[Union[ReadResult, WriteResult]], None],
+    ) -> None:
+        """Fail an operation at once: no node serves requests to coordinate it."""
+        now = self._simulator.now
+        result = result_type(
+            key=key,
+            operation=operation,
+            issued_at=now,
+            completed_at=now,
+            success=False,
+            error="no serving nodes",
+            consistency_level=level,
+        )
+        self._handle_operation_completed(result)
+        callback(result)
+
     def write(
         self,
         key: str,
@@ -350,17 +372,7 @@ class Cluster:
         coordinator_id = self._pick_coordinator()
         callback = on_complete or (lambda result: None)
         if coordinator_id is None:
-            result = WriteResult(
-                key=key,
-                operation=operation,
-                issued_at=self._simulator.now,
-                completed_at=self._simulator.now,
-                success=False,
-                error="no serving nodes",
-                consistency_level=level,
-            )
-            self._handle_operation_completed(result)
-            callback(result)
+            self._fail_unserved(WriteResult, key, operation, level, callback)
             return
         self.coordinator.execute_write(
             key,
@@ -391,17 +403,7 @@ class Cluster:
         coordinator_id = self._pick_coordinator()
         callback = on_complete or (lambda result: None)
         if coordinator_id is None:
-            result = ReadResult(
-                key=key,
-                operation=operation,
-                issued_at=self._simulator.now,
-                completed_at=self._simulator.now,
-                success=False,
-                error="no serving nodes",
-                consistency_level=level,
-            )
-            self._handle_operation_completed(result)
-            callback(result)
+            self._fail_unserved(ReadResult, key, operation, level, callback)
             return
         self.coordinator.execute_read(
             key,

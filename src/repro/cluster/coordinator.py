@@ -33,7 +33,7 @@ The coordinator reports three kinds of events to the cluster's listeners:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 from ..middleware.base import (
     TENANT_HINT,
@@ -112,30 +112,23 @@ class AckedVersionRegistry:
 
 
 @dataclass(slots=True)
-class _WriteContext:
-    """In-flight state of one coordinated write (slotted: one per request)."""
+class _Operation:
+    """In-flight state of one coordinated read or write (slotted: one per request).
 
-    result: WriteResult
+    ``completed`` is the exactly-once latch: whichever of the quorum, a
+    failure, a timeout or an admission rejection comes first sets it, and
+    every later transition finds it set and stops.
+    """
+
+    result: Union[ReadResult, WriteResult]
     request: RequestContext
-    required_acks: int
+    on_complete: Optional[Callable[[Union[ReadResult, WriteResult]], None]]
+    required: int = 1
     acks: int = 0
-    completed: bool = False
-    timeout_handle: Optional[EventHandle] = None
-    on_complete: Optional[Callable[[WriteResult], None]] = None
-
-
-@dataclass(slots=True)
-class _ReadContext:
-    """In-flight state of one coordinated read (slotted: one per request)."""
-
-    result: ReadResult
-    request: RequestContext
-    required_responses: int
     responses: List[ReplicaReadResponse] = field(default_factory=list)
     completed: bool = False
     timeout_handle: Optional[EventHandle] = None
     hedge_handle: Optional[EventHandle] = None
-    on_complete: Optional[Callable[[ReadResult], None]] = None
 
 
 class RequestCoordinator:
@@ -245,12 +238,11 @@ class RequestCoordinator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _serving_nodes(self) -> List[str]:
-        return sorted(
-            node_id for node_id, node in self._nodes.items() if node.serves_requests
-        )
-
-    def _coordinator_view_alive(self, coordinator_id: str, node_id: str) -> bool:
+    def _reachable(self, coordinator_id: str, node_id: str) -> bool:
+        """Whether ``node_id`` serves requests and the coordinator sees it alive."""
+        node = self._nodes.get(node_id)
+        if node is None or not node.serves_requests:
+            return False
         view = self._membership.view_of(coordinator_id)
         if view is None:
             return self._membership.is_alive(node_id)
@@ -272,6 +264,148 @@ class RequestCoordinator:
             self.on_operation_completed(result)
 
     # ------------------------------------------------------------------
+    # Operation lifecycle: admit -> fan-out -> answer | fail
+    #
+    # Every hop is ``network.send(src, dst, callback, *args)`` with a bound
+    # method and the ``_Operation`` as arguments, so no hop allocates a
+    # closure.  ``network.send`` and the pipeline hooks are looked up on
+    # each call (tracers wrap them on the live instances).
+    # ------------------------------------------------------------------
+    def _admit(
+        self,
+        result_type: Type[Union[ReadResult, WriteResult]],
+        key: str,
+        operation: OperationType,
+        coordinator_id: str,
+        replication_factor: int,
+        consistency_level: ConsistencyLevel,
+        on_complete: Optional[Callable[[Union[ReadResult, WriteResult]], None]],
+        hints: Optional[Mapping[str, object]],
+    ) -> Optional[_Operation]:
+        """Build the request and its result; ``None`` when admission sheds it.
+
+        A shed request is rejected synchronously — no timeout is armed and no
+        replica was contacted — so it is counted as ``rejected``, not failed,
+        and only the completion hooks run.
+        """
+        issued_at = self._simulator.now
+        is_read = result_type is ReadResult
+        request = RequestContext(
+            key=key,
+            operation=operation,
+            is_read=is_read,
+            coordinator_id=coordinator_id,
+            replication_factor=replication_factor,
+            requested_level=consistency_level,
+            consistency_level=consistency_level,
+            hints=hints,
+        )
+        if hints is not None:
+            tenant = hints.get(TENANT_HINT)
+            if tenant is not None:
+                request.tenant = tenant
+                request.tenant_tier = hints.get(TENANT_TIER_HINT)
+        self._pipeline.on_request(request)
+        result = result_type(
+            key=key,
+            operation=operation,
+            issued_at=issued_at,
+            completed_at=issued_at,
+            success=False,
+            coordinator=coordinator_id,
+            consistency_level=request.consistency_level,
+        )
+        if request.tenant is not None:
+            result.tenant = request.tenant
+        request.result = result
+        op = _Operation(result, request, on_complete)
+        if request.rejection is None:
+            return op
+        op.completed = True
+        result.rejected = True
+        result.error = request.rejection
+        if is_read:
+            self.reads_rejected += 1
+        else:
+            self.writes_rejected += 1
+        self._finish(op)
+        return None
+
+    def _close(self, op: _Operation) -> None:
+        """Set the latch and cancel the operation's pending timers."""
+        op.completed = True
+        if op.timeout_handle is not None:
+            op.timeout_handle.cancel()
+        if op.hedge_handle is not None:
+            op.hedge_handle.cancel()
+            op.hedge_handle = None
+
+    def _answer(self, op: _Operation) -> None:
+        """Reply to the client; a dropped reply still completes in place."""
+        if not self._network.send(
+            op.request.coordinator_id, _CLIENT, self._succeed, op, client_facing=True
+        ):
+            self._succeed(op)
+
+    def _succeed(self, op: _Operation) -> None:
+        op.result.completed_at = self._simulator.now
+        op.result.success = True
+        self._finish(op)
+
+    def _fail(self, op: _Operation, error: str) -> None:
+        if op.completed:
+            return
+        self._close(op)
+        result = op.result
+        result.completed_at = self._simulator.now
+        result.success = False
+        result.error = error
+        if op.request.is_read:
+            self.reads_failed += 1
+        else:
+            self.writes_failed += 1
+        self._finish(op)
+
+    def _timeout(self, op: _Operation) -> None:
+        if op.completed:
+            return
+        self.timeouts += 1
+        self._fail(op, "timeout")
+
+    def _finish(self, op: _Operation) -> None:
+        self._pipeline.on_complete(op.request, op.result)
+        if op.on_complete is not None:
+            op.on_complete(op.result)
+
+    def _replicas(self, op: _Operation) -> Optional[Tuple[List[str], List[str]]]:
+        """The key's preference list and the replicas the coordinator can reach.
+
+        Sets ``op.required`` from the pipeline.  Returns ``None`` after
+        failing the operation when the key has no replicas or fewer than
+        ``required`` are reachable.
+        """
+        request = op.request
+        preference_list = self._ring.preference_list(request.key, request.replication_factor)
+        if not preference_list:
+            self._fail(op, "no replicas available")
+            return None
+        op.required = self._pipeline.required_acks(request, len(preference_list))
+        if not request.is_read:
+            # A write owes its value to every replica, reachable or not.
+            op.result.replicas_contacted = len(preference_list)
+        coordinator_id = request.coordinator_id
+        live = [
+            node_id
+            for node_id in preference_list
+            if self._reachable(coordinator_id, node_id)
+        ]
+        if len(live) < op.required:
+            self.unavailable_errors += 1
+            self._fail(op, "unavailable: not enough live replicas")
+            return None
+        return preference_list, live
+
+    # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
     def execute_write(
@@ -288,107 +422,48 @@ class RequestCoordinator:
     ) -> None:
         """Coordinate one write; ``on_complete`` receives the client-visible result."""
         self.writes_started += 1
-        issued_at = self._simulator.now
-        request = RequestContext(
-            key=key,
-            operation=operation,
-            is_read=False,
-            coordinator_id=coordinator_id,
-            replication_factor=replication_factor,
-            requested_level=consistency_level,
-            consistency_level=consistency_level,
-            hints=hints,
+        op = self._admit(
+            WriteResult,
+            key,
+            operation,
+            coordinator_id,
+            replication_factor,
+            consistency_level,
+            on_complete,
+            hints,
         )
-        if hints is not None:
-            tenant = hints.get(TENANT_HINT)
-            if tenant is not None:
-                request.tenant = tenant
-                request.tenant_tier = hints.get(TENANT_TIER_HINT)
-        self._pipeline.on_request(request)
-        result = WriteResult(
-            key=key,
-            operation=operation,
-            issued_at=issued_at,
-            completed_at=issued_at,
-            success=False,
-            coordinator=coordinator_id,
-            consistency_level=request.consistency_level,
-        )
-        if request.tenant is not None:
-            result.tenant = request.tenant
-        request.result = result
-        context = _WriteContext(
-            result=result, request=request, required_acks=1, on_complete=on_complete
-        )
-        if request.rejection is not None:
-            self._reject_write(context, request.rejection)
-            return
+        if op is not None and not self._network.send(
+            _CLIENT, coordinator_id, self._start_write, op, value, size, client_facing=True
+        ):
+            self._fail(op, "coordinator unreachable")
 
-        def _start() -> None:
-            self._start_write(context, key, value, coordinator_id, size)
-
-        delivered = self._network.send(
-            _CLIENT, coordinator_id, _start, client_facing=True
-        )
-        if not delivered:
-            self._fail_write(context, "coordinator unreachable")
-
-    def _start_write(
-        self,
-        context: _WriteContext,
-        key: str,
-        value: bytes,
-        coordinator_id: str,
-        size: Optional[int],
-    ) -> None:
+    def _start_write(self, op: _Operation, value: bytes, size: Optional[int]) -> None:
+        request = op.request
+        coordinator_id = request.coordinator_id
         coordinator = self._nodes.get(coordinator_id)
         if coordinator is None or not coordinator.serves_requests:
-            self._fail_write(context, "coordinator down")
+            self._fail(op, "coordinator down")
             return
 
-        request = context.request
-        now = self._simulator.now
+        # The stamp is allocated before the replicas are resolved, so a write
+        # that fails for want of replicas still consumes its sequence number.
         self._write_ids += 1
-        stamp = VersionStamp(timestamp=now, sequence=self.next_sequence())
+        stamp = VersionStamp(timestamp=self._simulator.now, sequence=self.next_sequence())
         version = VersionedValue(
             stamp=stamp,
             value=value,
             write_id=self._write_ids,
             size=size if size is not None else self._config.default_value_size,
         )
-        context.result.version_timestamp = stamp.timestamp
+        op.result.version_timestamp = stamp.timestamp
 
-        preference_list = self._ring.preference_list(key, request.replication_factor)
-        if not preference_list:
-            self._fail_write(context, "no replicas available")
+        replicas = self._replicas(op)
+        if replicas is None:
             return
-        effective_rf = len(preference_list)
-        required = self._pipeline.required_acks(request, effective_rf)
-        context.required_acks = required
-        context.result.replicas_contacted = effective_rf
-
-        live: List[str] = []
-        unreachable: List[str] = []
+        preference_list, live = replicas
         for node_id in preference_list:
-            node = self._nodes.get(node_id)
-            if (
-                node is not None
-                and node.serves_requests
-                and self._coordinator_view_alive(coordinator_id, node_id)
-            ):
-                live.append(node_id)
-            else:
-                unreachable.append(node_id)
-
-        if len(live) < required:
-            self.unavailable_errors += 1
-            self._fail_write(context, "unavailable: not enough live replicas")
-            return
-
-        for node_id in unreachable:
-            if self._pipeline.on_unreachable_replica(request, node_id, version):
-                context.result.hinted += 1
-                self.hinted_writes += 1
+            if node_id not in live:
+                self._hint(op, node_id, version)
 
         # Fan-out order is a pipeline decision (RTT-aware when that
         # middleware is installed): the first ``required`` acks raced for are
@@ -399,134 +474,57 @@ class RequestCoordinator:
             if ordered is not None:
                 live = ordered
 
+        key = request.key
         for node_id in live:
-            self._send_replica_write(context, coordinator_id, node_id, key, version)
-
-        context.timeout_handle = self._arm_timer(
-            self._config.operation_timeout,
-            self._write_timeout,
-            context,
-            label="write:timeout",
-        )
-
-    def _send_replica_write(
-        self,
-        context: _WriteContext,
-        coordinator_id: str,
-        node_id: str,
-        key: str,
-        version: VersionedValue,
-    ) -> None:
-        node = self._nodes[node_id]
-
-        def _deliver() -> None:
-            node.replica_write(
+            if not self._network.send(
+                coordinator_id,
+                node_id,
+                self._nodes[node_id].replica_write,
                 key,
                 version,
-                on_done=lambda response: self._replica_write_done(
-                    context, coordinator_id, key, version, response
-                ),
-            )
+                self._replica_write_done,
+                op,
+                version,
+            ):
+                self._hint(op, node_id, version)
 
-        def _dropped() -> None:
-            if self._pipeline.on_unreachable_replica(context.request, node_id, version):
-                context.result.hinted += 1
-                self.hinted_writes += 1
+        op.timeout_handle = self._arm_timer(
+            self._config.operation_timeout, self._timeout, op, label="write:timeout"
+        )
 
-        self._network.send(coordinator_id, node_id, _deliver, on_drop=_dropped)
+    def _hint(self, op: _Operation, node_id: str, version: VersionedValue) -> None:
+        """Hand a replica the write cannot reach (or whose send dropped) to the pipeline."""
+        if self._pipeline.on_unreachable_replica(op.request, node_id, version):
+            op.result.hinted += 1
+            self.hinted_writes += 1
 
     def _replica_write_done(
-        self,
-        context: _WriteContext,
-        coordinator_id: str,
-        key: str,
-        version: VersionedValue,
-        response: ReplicaWriteResponse,
+        self, op: _Operation, version: VersionedValue, response: ReplicaWriteResponse
     ) -> None:
         self._notify_applied(
-            key, version.stamp, response.node_id, response.applied_at, False
+            op.request.key, version.stamp, response.node_id, response.applied_at, False
+        )
+        self._network.send(
+            response.node_id, op.request.coordinator_id, self._write_acked, op, version
         )
 
-        def _ack() -> None:
-            self._receive_write_ack(context, coordinator_id, key, version)
-
-        self._network.send(response.node_id, coordinator_id, _ack)
-
-    def _receive_write_ack(
-        self,
-        context: _WriteContext,
-        coordinator_id: str,
-        key: str,
-        version: VersionedValue,
-    ) -> None:
-        if context.completed:
+    def _write_acked(self, op: _Operation, version: VersionedValue) -> None:
+        if op.completed:
             return
-        context.acks += 1
-        context.result.replicas_responded = context.acks
-        if context.acks < context.required_acks:
+        op.acks += 1
+        result = op.result
+        result.replicas_responded = op.acks
+        if op.acks < op.required:
             return
 
-        context.completed = True
-        if context.timeout_handle is not None:
-            context.timeout_handle.cancel()
+        self._close(op)
+        key = op.request.key
         ack_time = self._simulator.now
         self.acked_registry.record_ack(key, version.stamp, ack_time)
-        replica_set = self._ring.preference_list(
-            key, context.result.replicas_contacted
-        )
+        replica_set = self._ring.preference_list(key, result.replicas_contacted)
         if self.on_write_acked is not None:
             self.on_write_acked(key, version.stamp, ack_time, replica_set)
-
-        def _reply() -> None:
-            context.result.completed_at = self._simulator.now
-            context.result.success = True
-            self._finish_write(context)
-
-        delivered = self._network.send(
-            coordinator_id, _CLIENT, _reply, client_facing=True
-        )
-        if not delivered:
-            context.result.completed_at = self._simulator.now
-            context.result.success = True
-            self._finish_write(context)
-
-    def _write_timeout(self, context: _WriteContext) -> None:
-        if context.completed:
-            return
-        self.timeouts += 1
-        self._fail_write(context, "timeout")
-
-    def _fail_write(self, context: _WriteContext, error: str) -> None:
-        if context.completed:
-            return
-        context.completed = True
-        if context.timeout_handle is not None:
-            context.timeout_handle.cancel()
-        context.result.completed_at = self._simulator.now
-        context.result.success = False
-        context.result.error = error
-        self.writes_failed += 1
-        self._finish_write(context)
-
-    def _reject_write(self, context: _WriteContext, reason: str) -> None:
-        """Shed one write before fan-out (admission control), not a failure.
-
-        Rejections happen synchronously inside ``execute_write`` — no timeout
-        is armed and no replica was contacted — so the only bookkeeping is
-        the distinct ``rejected`` accounting and the completion hooks.
-        """
-        context.completed = True
-        context.result.completed_at = self._simulator.now
-        context.result.success = False
-        context.result.rejected = True
-        context.result.error = reason
-        self.writes_rejected += 1
-        self._finish_write(context)
-
-    def _finish_write(self, context: _WriteContext) -> None:
-        self._pipeline.on_complete(context.request, context.result)
-        if context.on_complete is not None:
-            context.on_complete(context.result)
+        self._answer(op)
 
     # ------------------------------------------------------------------
     # Read path
@@ -543,90 +541,40 @@ class RequestCoordinator:
     ) -> None:
         """Coordinate one read; ``on_complete`` receives the client-visible result."""
         self.reads_started += 1
-        issued_at = self._simulator.now
-        request = RequestContext(
-            key=key,
-            operation=operation,
-            is_read=True,
-            coordinator_id=coordinator_id,
-            replication_factor=replication_factor,
-            requested_level=consistency_level,
-            consistency_level=consistency_level,
-            hints=hints,
+        op = self._admit(
+            ReadResult,
+            key,
+            operation,
+            coordinator_id,
+            replication_factor,
+            consistency_level,
+            on_complete,
+            hints,
         )
-        if hints is not None:
-            tenant = hints.get(TENANT_HINT)
-            if tenant is not None:
-                request.tenant = tenant
-                request.tenant_tier = hints.get(TENANT_TIER_HINT)
-        self._pipeline.on_request(request)
-        result = ReadResult(
-            key=key,
-            operation=operation,
-            issued_at=issued_at,
-            completed_at=issued_at,
-            success=False,
-            coordinator=coordinator_id,
-            consistency_level=request.consistency_level,
-        )
-        if request.tenant is not None:
-            result.tenant = request.tenant
-        request.result = result
-        context = _ReadContext(
-            result=result, request=request, required_responses=1, on_complete=on_complete
-        )
-        if request.rejection is not None:
-            self._reject_read(context, request.rejection)
-            return
+        if op is not None and not self._network.send(
+            _CLIENT, coordinator_id, self._start_read, op, client_facing=True
+        ):
+            self._fail(op, "coordinator unreachable")
 
-        def _start() -> None:
-            self._start_read(context, key, coordinator_id)
-
-        delivered = self._network.send(
-            _CLIENT, coordinator_id, _start, client_facing=True
-        )
-        if not delivered:
-            self._fail_read(context, "coordinator unreachable")
-
-    def _start_read(
-        self,
-        context: _ReadContext,
-        key: str,
-        coordinator_id: str,
-    ) -> None:
-        coordinator = self._nodes.get(coordinator_id)
+    def _start_read(self, op: _Operation) -> None:
+        request = op.request
+        coordinator = self._nodes.get(request.coordinator_id)
         if coordinator is None or not coordinator.serves_requests:
-            self._fail_read(context, "coordinator down")
+            self._fail(op, "coordinator down")
             return
-
-        request = context.request
-        preference_list = self._ring.preference_list(key, request.replication_factor)
-        if not preference_list:
-            self._fail_read(context, "no replicas available")
+        replicas = self._replicas(op)
+        if replicas is None:
             return
-        effective_rf = len(preference_list)
-        required = self._pipeline.required_acks(request, effective_rf)
-
-        live = [
-            node_id
-            for node_id in preference_list
-            if self._nodes.get(node_id) is not None
-            and self._nodes[node_id].serves_requests
-            and self._coordinator_view_alive(coordinator_id, node_id)
-        ]
-        if len(live) < required:
-            self.unavailable_errors += 1
-            self._fail_read(context, "unavailable: not enough live replicas")
-            return
+        live = replicas[1]
 
         # Replica selection is a pipeline decision (load-balanced random by
         # default, latency-aware when that middleware is installed); the
         # deterministic prefix is the fallback when no stage has an opinion.
+        required = op.required
         targets = self._pipeline.select_read_targets(request, live, required)
         if targets is None:
             targets = live[:required]
-        context.required_responses = required
-        context.result.replicas_contacted = len(targets)
+        op.result.replicas_contacted = len(targets)
 
         observe_rtt = self._pipeline.observes_replica_rtt
         if observe_rtt:
@@ -634,13 +582,10 @@ class RequestCoordinator:
         for node_id in targets:
             if observe_rtt:
                 request.send_times[node_id] = self._simulator.now
-            self._send_replica_read(context, coordinator_id, node_id, key)
+            self._send_read(op, node_id)
 
-        context.timeout_handle = self._arm_timer(
-            self._config.operation_timeout,
-            self._read_timeout,
-            context,
-            label="read:timeout",
+        op.timeout_handle = self._arm_timer(
+            self._config.operation_timeout, self._timeout, op, label="read:timeout"
         )
 
         # Speculative (hedged) read: when a hedging stage is installed and
@@ -652,85 +597,45 @@ class RequestCoordinator:
             if plan is not None:
                 budget, candidates = plan
                 request.hedge_armed = True
-                context.hedge_handle = self._arm_timer(
-                    budget,
-                    self._fire_hedge,
-                    context,
-                    coordinator_id,
-                    key,
-                    candidates,
-                    label="read:hedge",
+                op.hedge_handle = self._arm_timer(
+                    budget, self._fire_hedge, op, candidates, label="read:hedge"
                 )
 
-    def _fire_hedge(
-        self,
-        context: _ReadContext,
-        coordinator_id: str,
-        key: str,
-        candidates: Sequence[str],
-    ) -> None:
-        if context.completed:
+    def _fire_hedge(self, op: _Operation, candidates: Sequence[str]) -> None:
+        if op.completed:
             return
-        context.hedge_handle = None
-        request = context.request
-        backup: Optional[str] = None
-        for node_id in candidates:
-            node = self._nodes.get(node_id)
-            if (
-                node is not None
-                and node.serves_requests
-                and self._coordinator_view_alive(coordinator_id, node_id)
-            ):
-                backup = node_id
+        op.hedge_handle = None
+        request = op.request
+        for backup in candidates:
+            if self._reachable(request.coordinator_id, backup):
                 break
-        if backup is None:
+        else:
             return
         request.hedge_node = backup
         self.hedged_reads += 1
-        context.result.replicas_contacted += 1
+        op.result.replicas_contacted += 1
         if request.send_times is not None:
             request.send_times[backup] = self._simulator.now
-        self._send_replica_read(context, coordinator_id, backup, key)
+        self._send_read(op, backup)
 
-    def _send_replica_read(
-        self,
-        context: _ReadContext,
-        coordinator_id: str,
-        node_id: str,
-        key: str,
-    ) -> None:
-        node = self._nodes[node_id]
+    def _send_read(self, op: _Operation, node_id: str) -> None:
+        request = op.request
+        self._network.send(
+            request.coordinator_id,
+            node_id,
+            self._nodes[node_id].replica_read,
+            request.key,
+            self._replica_read_done,
+            op,
+        )
 
-        def _deliver() -> None:
-            node.replica_read(
-                key,
-                on_done=lambda response: self._replica_read_done(
-                    context, coordinator_id, key, response
-                ),
-            )
+    def _replica_read_done(self, op: _Operation, response: ReplicaReadResponse) -> None:
+        self._network.send(
+            response.node_id, op.request.coordinator_id, self._read_response, op, response
+        )
 
-        self._network.send(coordinator_id, node_id, _deliver)
-
-    def _replica_read_done(
-        self,
-        context: _ReadContext,
-        coordinator_id: str,
-        key: str,
-        response: ReplicaReadResponse,
-    ) -> None:
-        def _receive() -> None:
-            self._receive_read_response(context, coordinator_id, key, response)
-
-        self._network.send(response.node_id, coordinator_id, _receive)
-
-    def _receive_read_response(
-        self,
-        context: _ReadContext,
-        coordinator_id: str,
-        key: str,
-        response: ReplicaReadResponse,
-    ) -> None:
-        request = context.request
+    def _read_response(self, op: _Operation, response: ReplicaReadResponse) -> None:
+        request = op.request
         send_times = request.send_times
         if send_times is not None:
             sent_at = send_times.get(response.node_id)
@@ -738,94 +643,43 @@ class RequestCoordinator:
                 self._pipeline.on_replica_response(
                     request, response.node_id, self._simulator.now - sent_at
                 )
-        if context.completed:
+        if op.completed:
             return
+        responses = op.responses
         if request.hedge_armed:
             # A hedged read may race two responses from the same replica (the
             # primary send and a later speculative one); count each replica's
             # acknowledgement once so the quorum is never satisfied twice
             # over by one node.
-            if any(r.node_id == response.node_id for r in context.responses):
+            if any(r.node_id == response.node_id for r in responses):
                 return
-        context.responses.append(response)
-        context.result.replicas_responded = len(context.responses)
-        if len(context.responses) < context.required_responses:
+        responses.append(response)
+        result = op.result
+        result.replicas_responded = len(responses)
+        if len(responses) < op.required:
             return
 
-        context.completed = True
-        if context.timeout_handle is not None:
-            context.timeout_handle.cancel()
-        if context.hedge_handle is not None:
-            context.hedge_handle.cancel()
-            context.hedge_handle = None
+        self._close(op)
         if request.hedge_armed:
             request.completed_by = response.node_id
 
         newest: Optional[VersionedValue] = None
-        for replica_response in context.responses:
+        for replica_response in responses:
             if compare_versions(replica_response.version, newest) > 0:
                 newest = replica_response.version
 
-        mismatch = self._pipeline.inspect_read_responses(request, context.responses)
+        mismatch = self._pipeline.inspect_read_responses(request, responses)
         if mismatch is not None:
-            context.result.digest_mismatch = mismatch
+            result.digest_mismatch = mismatch
 
         if newest is not None:
-            context.result.value = newest.value
-            context.result.version_timestamp = newest.stamp.timestamp
+            result.value = newest.value
+            result.version_timestamp = newest.stamp.timestamp
 
         # Ground-truth staleness annotation and any custom result decoration
         # run as the pipeline's annotation stage.
         self._pipeline.annotate_read(request, newest)
-
-        def _reply() -> None:
-            context.result.completed_at = self._simulator.now
-            context.result.success = True
-            self._finish_read(context)
-
-        delivered = self._network.send(
-            coordinator_id, _CLIENT, _reply, client_facing=True
-        )
-        if not delivered:
-            context.result.completed_at = self._simulator.now
-            context.result.success = True
-            self._finish_read(context)
-
-    def _read_timeout(self, context: _ReadContext) -> None:
-        if context.completed:
-            return
-        self.timeouts += 1
-        self._fail_read(context, "timeout")
-
-    def _fail_read(self, context: _ReadContext, error: str) -> None:
-        if context.completed:
-            return
-        context.completed = True
-        if context.timeout_handle is not None:
-            context.timeout_handle.cancel()
-        if context.hedge_handle is not None:
-            context.hedge_handle.cancel()
-            context.hedge_handle = None
-        context.result.completed_at = self._simulator.now
-        context.result.success = False
-        context.result.error = error
-        self.reads_failed += 1
-        self._finish_read(context)
-
-    def _reject_read(self, context: _ReadContext, reason: str) -> None:
-        """Shed one read before fan-out (admission control), not a failure."""
-        context.completed = True
-        context.result.completed_at = self._simulator.now
-        context.result.success = False
-        context.result.rejected = True
-        context.result.error = reason
-        self.reads_rejected += 1
-        self._finish_read(context)
-
-    def _finish_read(self, context: _ReadContext) -> None:
-        self._pipeline.on_complete(context.request, context.result)
-        if context.on_complete is not None:
-            context.on_complete(context.result)
+        self._answer(op)
 
     # ------------------------------------------------------------------
     # Background writes (hints, repairs, anti-entropy, streaming)
@@ -842,15 +696,18 @@ class RequestCoordinator:
         node = self._nodes.get(target_node)
         if node is None or not node.is_up:
             return False
+        return self._network.send(
+            source, target_node, self._deliver_background, node, key, version
+        )
 
-        def _deliver() -> None:
-            node.replica_write(
-                key,
-                version,
-                on_done=lambda response: self._notify_applied(
-                    key, version.stamp, response.node_id, response.applied_at, True
-                ),
-                background=True,
-            )
+    def _deliver_background(
+        self, node: StorageNode, key: str, version: VersionedValue
+    ) -> None:
+        node.replica_write(
+            key, version, self._background_applied, key, version, background=True
+        )
 
-        return self._network.send(source, target_node, _deliver)
+    def _background_applied(
+        self, key: str, version: VersionedValue, response: ReplicaWriteResponse
+    ) -> None:
+        self._notify_applied(key, version.stamp, response.node_id, response.applied_at, True)

@@ -163,9 +163,7 @@ class GossipAgent:
             peer = peers[peer_id]
             digest = self.view.digest()
             self._network.send(
-                self.node_id,
-                peer_id,
-                lambda p=peer, d=digest: p.receive_digest(self.node_id, d),
+                self.node_id, peer_id, peer.receive_digest, self.node_id, digest
             )
 
     def receive_digest(self, from_node: str, digest: Dict[str, int]) -> None:
@@ -179,11 +177,7 @@ class GossipAgent:
         if sender is None:
             return
         reply = self.view.digest()
-        self._network.send(
-            self.node_id,
-            from_node,
-            lambda s=sender, d=reply: s.receive_reply(d),
-        )
+        self._network.send(self.node_id, from_node, sender.receive_reply, reply)
 
     def receive_reply(self, digest: Dict[str, int]) -> None:
         """Merge the digest a peer sent back to us."""

@@ -17,7 +17,7 @@ first research task.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..simulation.engine import Simulator
 from ..simulation.resources import QueueingServer
@@ -183,12 +183,13 @@ class StorageNode:
         self,
         key: str,
         version: VersionedValue,
-        on_done: Callable[[ReplicaWriteResponse], None],
+        on_done: Callable[..., None],
+        *args: Any,
         background: bool = False,
     ) -> None:
         """Apply a replicated write through the node's queue, then call back.
 
-        Foreground writes are subject to mutation dropping: if the queue is
+        The callback runs as ``on_done(*args, response)``.  Foreground writes are subject to mutation dropping: if the queue is
         already so long that the write would wait longer than the configured
         ``mutation_timeout``, the node silently discards it (no apply, no
         acknowledgement).  Background writes (hints, repairs) are never
@@ -212,16 +213,13 @@ class StorageNode:
 
         def _complete(now: float) -> None:
             applied = self.storage.apply(key, version)
-            on_done(ReplicaWriteResponse(self.node_id, applied, now))
+            on_done(*args, ReplicaWriteResponse(self.node_id, applied, now))
 
         self.server.submit(demand, _complete, label=self._write_label)
 
-    def replica_read(
-        self,
-        key: str,
-        on_done: Callable[[ReplicaReadResponse], None],
-    ) -> None:
-        """Serve a replica read through the node's queue, then call back."""
+    def replica_read(self, key: str, on_done: Callable[..., None], *args: Any) -> None:
+        """Serve a replica read through the node's queue, then call back
+        with ``on_done(*args, response)``."""
         if not self.is_up:
             return
         self.foreground_ops += 1
@@ -229,7 +227,7 @@ class StorageNode:
 
         def _complete(now: float) -> None:
             version = self.storage.get(key)
-            on_done(ReplicaReadResponse(self.node_id, version, now))
+            on_done(*args, ReplicaReadResponse(self.node_id, version, now))
 
         self.server.submit(demand, _complete, label=self._read_label)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .engine import Simulator
 from .randomness import LognormalSampler
@@ -259,23 +259,21 @@ class NetworkModel:
         self,
         source: str,
         destination: str,
-        deliver: Callable[[], None],
+        callback: Callable[..., None],
+        *args: Any,
         client_facing: bool = False,
-        on_drop: Optional[Callable[[], None]] = None,
     ) -> bool:
-        """Deliver ``deliver()`` at the destination after a latency delay.
+        """Run ``callback(*args)`` at the destination after a latency delay.
 
         Returns ``True`` if the message was scheduled for delivery, ``False``
-        if it was dropped because of a partition (``on_drop`` is then invoked
-        immediately, if provided).
+        if a partition or a flaky link dropped it; a caller that must react
+        to a drop checks the return value.
         """
         self._messages_sent += 1
         self._window_messages += 1
         self._update_congestion()
         if self.is_partitioned(source, destination):
             self._messages_dropped += 1
-            if on_drop is not None:
-                on_drop()
             return False
         link_delay = 0.0
         if self._link_faults:
@@ -288,8 +286,6 @@ class NetworkModel:
                 ):
                     self._messages_dropped += 1
                     self._link_drops += 1
-                    if on_drop is not None:
-                        on_drop()
                     return False
         latency = self.sample_latency(client_facing=client_facing)
         if link_delay > 0.0:
@@ -299,7 +295,7 @@ class NetworkModel:
         if label is None:
             label = f"net:{source}->{destination}"
             self._labels[pair] = label
-        self._simulator.schedule_in(latency, deliver, label=label)
+        self._simulator.schedule_in(latency, callback, *args, label=label)
         return True
 
     def round_trip_estimate(self, client_facing: bool = False) -> float:

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+
 import pytest
 
 from repro.cluster import (
     Cluster,
     ClusterConfig,
     ConsistencyLevel,
+    FaultInjector,
+    FaultPlan,
     NodeConfig,
     OperationType,
     ReadResult,
     WriteResult,
 )
+from repro.middleware.base import MiddlewarePipeline
 from repro.simulation import Simulator
 
 
@@ -186,3 +192,66 @@ def test_probe_operations_are_flagged():
     cluster.write("probe", b"p", on_complete=results.append, operation=OperationType.PROBE_WRITE)
     simulator.run_until(2.0)
     assert results[0].operation.is_probe
+
+
+def test_operations_complete_exactly_once_under_faults(monkeypatch):
+    """Under partitions and flaky links (sends drop, ops time out), every read
+    and write completes exactly once, and the coordinator's counters account
+    for every operation it started."""
+    simulator = Simulator(seed=11)
+    cluster = make_cluster(
+        simulator, read_cl=ConsistencyLevel.QUORUM, write_cl=ConsistencyLevel.QUORUM
+    )
+    FaultPlan.generate(11, 60.0, faults=6, kinds=("partition", "flaky_link")).apply(
+        FaultInjector(simulator, cluster)
+    )
+    coordinator = cluster.coordinator
+    hook_calls = []
+    on_complete = MiddlewarePipeline.on_complete
+
+    def counting_on_complete(pipeline, request, result):
+        hook_calls.append(result)
+        on_complete(pipeline, request, result)
+
+    # The pipeline is slotted, so the hook is counted on its class.
+    monkeypatch.setattr(MiddlewarePipeline, "on_complete", counting_on_complete)
+    callbacks = Counter()
+    outcomes = Counter()
+    issued = []
+
+    def callback(op_id, result):
+        callbacks[op_id] += 1
+        outcomes["completed" if result.success else "failed"] += 1
+
+    def issue(op_id):
+        issued.append(op_id)
+        key = f"key-{op_id % 50}"
+        if op_id % 2:
+            cluster.read(key, on_complete=partial(callback, op_id))
+        else:
+            cluster.write(key, b"v", on_complete=partial(callback, op_id))
+
+    def check_conservation():
+        started = coordinator.reads_started + coordinator.writes_started
+        failed = coordinator.reads_failed + coordinator.writes_failed
+        rejected = coordinator.reads_rejected + coordinator.writes_rejected
+        in_flight = len(issued) - len(callbacks)
+        assert started == len(issued)
+        assert failed == outcomes["failed"]
+        assert started == outcomes["completed"] + failed + rejected + in_flight
+        assert len(hook_calls) == sum(callbacks.values())
+
+    for op_id in range(3000):
+        simulator.schedule(op_id * 0.02, issue, op_id)
+    for second in range(5, 60, 5):
+        simulator.schedule(float(second) + 0.001, check_conservation)
+    simulator.run_until(70.0)
+
+    check_conservation()
+    assert len(issued) == 3000
+    assert sorted(callbacks) == issued
+    assert set(callbacks.values()) == {1}
+    # The faults did their job: messages dropped and operations timed out.
+    assert cluster.network.messages_dropped > 0
+    assert coordinator.timeouts > 0
+    assert outcomes["failed"] > 0

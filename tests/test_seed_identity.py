@@ -26,6 +26,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterConfig, ConsistencyLevel, NodeConfig
+from repro.cluster.faults import FaultPlan
+from repro.middleware import ADMISSION_CONTROL_PIPELINE, HEDGED_PIPELINE
 from repro.runner import Simulation, SimulationConfig, SimulationReport
 from repro.simulation.randomness import (
     LognormalSampler,
@@ -128,6 +131,71 @@ def _arrival_mode_config(mode: str) -> SimulationConfig:
 def test_arrival_mode_report_matches_pin(mode):
     report = Simulation(_arrival_mode_config(mode)).run()
     assert report_digest(report) == ARRIVAL_MODE_DIGESTS[mode]
+
+
+# ----------------------------------------------------------------------
+# Pinned coordinator paths beyond the default request pipeline
+# ----------------------------------------------------------------------
+#: Full-report digests of 60 s runs that drive the coordinator's failure,
+#: hedge and shedding paths; each was the same under two ``PYTHONHASHSEED``
+#: values when captured.
+COORDINATOR_PATH_DIGESTS = {
+    "quorum-chaos": "b869f9cf7d71c012e8c142e8cf90f93d449be70aeff80763d8fa666c65718012",
+    "hedged-gray": "c1ab80c21847556fda30a958813fcb8a4d32472f3208ad4b7dcdaf4c0512fd71",
+    "admission": "03003c58591a154e7a31e30230abf72b8698e58b3b1e68ced25b8586d952fcc9",
+}
+
+#: Coordinator counters each pinned run must move, so the pin provably
+#: reaches the path it is named after.
+COORDINATOR_PATH_COUNTERS = {
+    "quorum-chaos": ("timeouts", "unavailable_errors", "hinted_writes", "reads_failed"),
+    "hedged-gray": ("hedged_reads", "hinted_writes"),
+    "admission": ("reads_rejected", "writes_rejected"),
+}
+
+
+def _coordinator_path_config(path: str) -> SimulationConfig:
+    duration = 60.0
+    cluster = ClusterConfig()
+    workload = WorkloadSpec(record_count=2000, load_shape=ConstantLoad(120.0))
+    middleware = None
+    faults = None
+    if path == "quorum-chaos":
+        # Partitions, crashes and flaky links under quorum reads and writes:
+        # fan-out sends drop into hints, replicas go missing, ops time out.
+        cluster = ClusterConfig(
+            read_consistency=ConsistencyLevel.QUORUM,
+            write_consistency=ConsistencyLevel.QUORUM,
+        )
+        faults = FaultPlan.generate(SEED, duration)
+    elif path == "hedged-gray":
+        middleware = HEDGED_PIPELINE
+        faults = FaultPlan.gray_failure_campaign(SEED, duration)
+    else:
+        # Few tenants at a high rate overrun their token buckets.
+        cluster = ClusterConfig(node=NodeConfig(ops_capacity=2000.0))
+        workload = WorkloadSpec(
+            record_count=2000, load_shape=ConstantLoad(400.0), tenants=TenantSpec(tenants=5)
+        )
+        middleware = ADMISSION_CONTROL_PIPELINE
+    return SimulationConfig(
+        seed=SEED,
+        duration=duration,
+        cluster=cluster,
+        workload=workload,
+        middleware=middleware,
+        faults=faults,
+    )
+
+
+@pytest.mark.parametrize("path", sorted(COORDINATOR_PATH_DIGESTS))
+def test_coordinator_path_report_matches_pin(path):
+    simulation = Simulation(_coordinator_path_config(path))
+    report = simulation.run()
+    coordinator = simulation.cluster.coordinator
+    for counter in COORDINATOR_PATH_COUNTERS[path]:
+        assert getattr(coordinator, counter) > 0, counter
+    assert report_digest(report) == COORDINATOR_PATH_DIGESTS[path]
 
 
 # ----------------------------------------------------------------------

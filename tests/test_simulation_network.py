@@ -29,16 +29,24 @@ def test_client_facing_latency_is_larger():
     assert network.sample_latency(client_facing=True) == pytest.approx(0.01)
 
 
-def test_partition_drops_messages_and_calls_on_drop():
+def test_send_passes_arguments_to_the_callback():
+    simulator = Simulator(seed=0)
+    network = make_network(simulator)
+    delivered = []
+    assert network.send("a", "b", delivered.append, "payload", client_facing=True)
+    simulator.run_until(1.0)
+    assert delivered == ["payload"]
+
+
+def test_partition_drops_messages():
     simulator = Simulator(seed=0)
     network = make_network(simulator)
     network.partition({"a"}, {"b"})
-    delivered, dropped = [], []
-    ok = network.send("a", "b", lambda: delivered.append(1), on_drop=lambda: dropped.append(1))
+    delivered = []
+    ok = network.send("a", "b", lambda: delivered.append(1))
     simulator.run_until(1.0)
     assert not ok
     assert delivered == []
-    assert dropped == [1]
     assert network.messages_dropped == 1
 
 

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import abc
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..cluster.cluster import Cluster, ClusterListener
 from ..cluster.types import ConsistencyLevel, OperationType, ReadResult, WriteResult
-from ..simulation.engine import PeriodicTask, Simulator
+from ..simulation.engine import Simulator
 from ..simulation.timeseries import TimeSeries
 from .percentiles import WindowedPercentiles
 
@@ -328,7 +328,6 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
         self._recent_windows: List[float] = []
         self._recent_reads = 0
         self._recent_stale = 0
-        self._all_windows = WindowedPercentiles(window=1024)
         self.reads_observed = 0
         self.stale_reads_observed = 0
         cluster.add_listener(self)
@@ -366,7 +365,6 @@ class PiggybackMonitor(ConsistencyEstimator, ClusterListener):
             self._recent_stale += 1
             window_bound = max(0.0, result.issued_at - reference_ack_time)
             self._recent_windows.append(window_bound)
-            self._all_windows.observe(window_bound)
 
     # -- reporting --------------------------------------------------------
     def _build_estimate(self, now: float) -> WindowEstimate:
@@ -431,7 +429,7 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
         self._config = config or RttEstimatorConfig()
         ConsistencyEstimator.__init__(self, simulator, self._config.report_interval)
         self._cluster = cluster
-        self._write_latencies = WindowedPercentiles(window=512)
+        self._writes_observed = 0
         self._read_latencies = WindowedPercentiles(window=512)
         self._node_tracker = None
         cluster.add_listener(self)
@@ -460,7 +458,7 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
         if result.operation.is_probe or not result.success:
             return
         if isinstance(result, WriteResult):
-            self._write_latencies.observe(result.latency)
+            self._writes_observed += 1
         else:
             self._read_latencies.observe(result.latency)
 
@@ -490,6 +488,6 @@ class RttEstimator(ConsistencyEstimator, ClusterListener):
             mean_window=mean_window,
             p95_window=p95_window,
             stale_read_fraction=0.0,
-            samples=self._write_latencies.count,
+            samples=self._writes_observed,
         )
         return estimate

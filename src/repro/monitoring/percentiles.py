@@ -5,15 +5,19 @@ continuously without storing every sample (the paper's first research
 question explicitly counts "the computing power required to process and
 analyse these consistency measurements" as part of the monitoring cost).
 :class:`WindowedPercentiles` keeps a small ring of recent samples for exact
-percentiles over a sliding window where that is affordable.
+percentiles over a sliding window.  Every instance feeds a pinned number:
+the metrics snapshot and the per-tier rollup the controller decides on, the
+probe estimator's window estimate, and the RTT estimator's read window the
+hedging budget is armed from.
 
-:class:`MergeableHistogramSketch` is the sharded-mode workhorse: a fixed-bin
-log-spaced histogram (DDSketch-style) whose merge is *exact* — merging the
-sketches of K shards yields bit-identical counts to one sketch fed the
-concatenated stream, in any order and for any split — while every quantile
-carries a bounded relative error set by the accuracy parameter.  The
-windowed estimator cannot be merged across processes; the sketch can, which
-is what lets ``run_sharded`` combine per-shard latency distributions into one
+:class:`MergeableHistogramSketch` is needed only at the shard boundary: a
+fixed-bin log-spaced histogram (DDSketch-style) whose merge is *exact* —
+merging the sketches of K shards yields bit-identical counts to one sketch
+fed the concatenated stream, in any order and for any split — while every
+quantile carries a bounded relative error set by the accuracy parameter.
+The windowed estimator cannot be merged across processes; the sketch can.
+``run_shard`` derives one per latency kind from the shard's exact
+client-side record after the run, and ``run_sharded`` merges them into one
 deterministic report.
 """
 
@@ -89,10 +93,6 @@ class WindowedPercentiles:
             "p95": float(p95),
             "p99": float(p99),
         }
-
-    def clear(self) -> None:
-        """Drop all retained samples."""
-        self._samples.clear()
 
 
 class MergeableHistogramSketch:
@@ -208,8 +208,8 @@ class MergeableHistogramSketch:
 
         Produces exactly the counts the equivalent :meth:`observe` loop
         would — binning goes through the same ``searchsorted`` edges — at a
-        fraction of the cost; this is what the buffered collector calls on
-        each flush window.
+        fraction of the cost; this is how a shard turns its recorded
+        latencies into a sketch in one call.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:

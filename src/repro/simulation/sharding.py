@@ -13,7 +13,9 @@ order-independent**:
 * latency distributions merge through
   :class:`~repro.monitoring.percentiles.MergeableHistogramSketch` — bin-count
   addition, so the merged percentiles are identical for any shard execution
-  order at fixed ``K``,
+  order at fixed ``K``.  A shard builds its two sketches once, after its run,
+  from the latencies its :class:`~repro.workload.generator.WorkloadStats`
+  recorded, so each sketch's count equals the completed-operation counter,
 * fractions (failure, rejection, staleness, SLA violation) are *recomputed*
   from the merged counters, never averaged.
 
@@ -22,11 +24,14 @@ disjoint slices (records and tenants partitioned round-robin by index, key
 prefixes suffixed ``@s<i>`` so shard key spaces can never collide) and the
 arrival process is split proportionally via
 :class:`~repro.workload.load_shapes.ScaledLoad`.  Each shard models its slice
-on a proportionally smaller cluster.  This approximates a range-partitioned
-deployment where slices do not contend for the same replicas — cross-shard
-effects (one global controller, shared admission) are deliberately out of
-scope, which is why sharded mode is opt-in and reported as its own scenario
-kind rather than pretending to be the single-process run at higher speed.
+on a proportionally smaller cluster with the scenario's own monitoring
+stack: a shard is an ordinary :class:`~repro.runner.Simulation` of its plan,
+and its per-shard report is the one that simulation would print on its own.
+This approximates a range-partitioned deployment where slices do not contend
+for the same replicas — cross-shard effects (one global controller, shared
+admission) are deliberately out of scope, which is why sharded mode is
+opt-in and reported as its own scenario kind rather than pretending to be
+the single-process run at higher speed.
 
 Determinism contract (PERFORMANCE.md rule 9): shard ``i`` of ``K`` draws from
 RNG namespace ``shard<i>/<K>``, so its bitstream depends only on
@@ -229,7 +234,6 @@ def plan_shards(config, shards: int) -> List[object]:
             max_nodes=max(replication, _split_count(cluster.max_nodes, shards, index)),
             min_nodes=max(1, _split_count(cluster.min_nodes, shards, index)),
         )
-        monitoring = dataclasses.replace(config.monitoring, buffered=True)
         # A fault campaign splits with the scenario: each spec lands on
         # exactly one shard (round-robin by position), so the sharded run
         # injects the same faults as the classic one — once each, on a
@@ -242,7 +246,6 @@ def plan_shards(config, shards: int) -> List[object]:
                 config,
                 cluster=shard_cluster,
                 workload=shard_workload,
-                monitoring=monitoring,
                 faults=faults,
                 stream_namespace=f"shard{index}/{shards}",
                 label=f"{config.label}@s{index}",
@@ -266,10 +269,13 @@ def run_shard(shard_config, index: int, shards: int) -> ShardResult:
     simulation = Simulation(shard_config)
     report = simulation.run()
     wall = time.perf_counter() - started
-    collector = simulation.buffered_collector
-    if collector is None:  # pragma: no cover - plan_shards always enables it
-        raise RuntimeError("sharded runs require buffered monitoring")
     stats = simulation.workload.stats
+    # The sketches are derived once, from the client-side latency record the
+    # report's own percentiles come from: one record, two views of it.
+    read_sketch = MergeableHistogramSketch()
+    read_sketch.observe_many(stats.read_latencies.as_array())
+    write_sketch = MergeableHistogramSketch()
+    write_sketch.observe_many(stats.write_latencies.as_array())
     counters = {key: int(getattr(stats, key)) for key in _WORKLOAD_COUNTER_KEYS}
     sla = report.sla_summary
     staleness = report.staleness
@@ -281,8 +287,8 @@ def run_shard(shard_config, index: int, shards: int) -> ShardResult:
         events_processed=report.events_processed,
         wall_seconds=wall,
         workload_counters=counters,
-        read_sketch=collector.read_sketch,
-        write_sketch=collector.write_sketch,
+        read_sketch=read_sketch,
+        write_sketch=write_sketch,
         sla_evaluations=float(sla.get("evaluations", 0.0)),
         sla_violation_seconds=float(sla.get("violation_seconds", 0.0)),
         sla_penalty_cost=float(sla.get("penalty_cost", 0.0)),

@@ -9,9 +9,8 @@ into tables.
 from __future__ import annotations
 
 import bisect
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,38 +140,6 @@ class TimeSeries:
             total += self._values[i] * dt
         return total
 
-    def time_weighted_mean(self, end_time: Optional[float] = None) -> float:
-        """Time-weighted mean with step interpolation up to ``end_time``."""
-        if not self._times:
-            return 0.0
-        end = end_time if end_time is not None else self._times[-1]
-        if len(self._times) == 1 or end <= self._times[0]:
-            return self._values[0]
-        total = 0.0
-        for i in range(len(self._times) - 1):
-            dt = min(self._times[i + 1], end) - self._times[i]
-            if dt > 0:
-                total += self._values[i] * dt
-        if end > self._times[-1]:
-            total += self._values[-1] * (end - self._times[-1])
-        duration = end - self._times[0]
-        return total / duration if duration > 0 else self._values[-1]
-
-    def resample(self, interval: float, end_time: Optional[float] = None) -> "TimeSeries":
-        """Step-resample onto a regular grid (mainly for plotting/tables)."""
-        out = TimeSeries(self.name)
-        if not self._times:
-            return out
-        end = end_time if end_time is not None else self._times[-1]
-        t = self._times[0]
-        idx = 0
-        while t <= end + 1e-12:
-            while idx + 1 < len(self._times) and self._times[idx + 1] <= t:
-                idx += 1
-            out.record(t, self._values[idx])
-            t += interval
-        return out
-
 
 class TimeSeriesBundle:
     """A named collection of time series with lazy creation."""
@@ -205,7 +172,3 @@ class TimeSeriesBundle:
     def get(self, name: str) -> Optional[TimeSeries]:
         """Return the named series or ``None`` if it was never recorded."""
         return self._series.get(name)
-
-    def summaries(self) -> Dict[str, SeriesSummary]:
-        """Summary statistics for every series in the bundle."""
-        return {name: series.summary() for name, series in self._series.items()}

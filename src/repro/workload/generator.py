@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from ..cluster.cluster import Cluster
-from ..cluster.types import ConsistencyLevel, OperationType, ReadResult, WriteResult
+from ..cluster.types import ConsistencyLevel, ReadResult, WriteResult
 from ..middleware.base import TENANT_HINT, TENANT_TIER_HINT
 from ..middleware.overrides import CONSISTENCY_HINT
 from ..simulation.engine import Simulator
@@ -263,8 +263,6 @@ class WorkloadStats:
         self.read_latencies = _LatencyBuffer()
         self.write_latencies = _LatencyBuffer()
         self.stale_reads = 0
-        self.read_latency_series = TimeSeries("read_latency")
-        self.write_latency_series = TimeSeries("write_latency")
         self.offered_rate_series = TimeSeries("offered_rate")
         # Per-tenant breakdown; stays None (zero-cost) for tenantless runs.
         self.tenant_stats: Optional[Dict[str, TenantOpStats]] = None
@@ -285,7 +283,6 @@ class WorkloadStats:
         if result.success:
             self.reads_completed += 1
             self.read_latencies.append(result.latency)
-            self.read_latency_series.record(result.completed_at, result.latency)
             if result.stale:
                 self.stale_reads += 1
             tenants = self.tenant_stats
@@ -310,7 +307,6 @@ class WorkloadStats:
         if result.success:
             self.writes_completed += 1
             self.write_latencies.append(result.latency)
-            self.write_latency_series.record(result.completed_at, result.latency)
             tenants = self.tenant_stats
             if tenants is not None and result.tenant is not None:
                 tenants[result.tenant].writes_completed += 1

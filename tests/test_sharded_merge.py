@@ -1,15 +1,15 @@
-"""Sharded parallel mode: planning, merge determinism, buffered monitoring,
-and the vectorized open-loop arrival path."""
+"""Sharded parallel mode: planning, merge determinism, shard sketches, and
+the vectorized open-loop arrival path."""
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from repro.monitoring.buffered import BufferedOperationCollector
-from repro.runner import MonitoringOptions, Simulation, SimulationConfig
+from repro.runner import Simulation, SimulationConfig
 from repro.simulation.sharding import (
     ShardResult,
     merge_shard_results,
@@ -70,13 +70,11 @@ def test_plan_shards_scales_arrival_share():
 
 def test_plan_shards_forces_buffered_monitoring_and_keeps_seed():
     config = short_config()
-    assert config.monitoring.buffered is False
     plans = plan_shards(config, 2)
-    assert all(plan.monitoring.buffered for plan in plans)
     assert all(plan.seed == config.seed for plan in plans)
     # Planning never mutates the caller's config.
-    assert config.monitoring.buffered is False
     assert config.stream_namespace == ""
+    assert config.label == "sharded-test"
 
 
 def test_plan_shards_keeps_replica_group_viable():
@@ -182,68 +180,76 @@ def test_parallel_run_matches_serial_run():
 
 
 # ----------------------------------------------------------------------
-# Buffered monitoring
+# Shard sketches
 # ----------------------------------------------------------------------
-def make_buffered_simulation(**monitoring_overrides) -> Simulation:
-    options = MonitoringOptions(buffered=True, **monitoring_overrides)
-    return Simulation(short_config(duration=60.0, monitoring=options))
+#: Full-report digests (``report_digest`` in test_seed_identity.py) of the two
+#: shards of ``short_config()``: each equals a classic ``Simulation`` of the
+#: shard's plan, and each was the same under two ``PYTHONHASHSEED`` values
+#: when captured.
+SHARD_REPORT_DIGESTS = [
+    "b7cffb82f4b68a06b90f64b065e6d6299e5f8bb7671929e50121a7b1c82d62ee",
+    "cf7db8065609ce3fd272d87e60d2859bfa963b8ef3bca73fb9e2e189dd80d9d1",
+]
+
+#: Merged ``workload`` section of the same 2-shard run.
+MERGED_WORKLOAD_PIN = {
+    "failure_fraction": 0.0,
+    "operations_completed": 7243.0,
+    "operations_issued": 7243.0,
+    "operations_rejected": 0.0,
+    "read_p50_ms": 6.163747045654162,
+    "read_p95_ms": 8.144103293668625,
+    "read_p99_ms": 9.361436726015672,
+    "reads_completed": 6872.0,
+    "reads_failed": 0.0,
+    "reads_issued": 6872.0,
+    "reads_rejected": 0.0,
+    "rejected_fraction": 0.0,
+    "stale_reads": 0.0,
+    "write_p50_ms": 5.923239759237678,
+    "write_p95_ms": 7.826323188653315,
+    "write_p99_ms": 9.176979439286022,
+    "writes_completed": 371.0,
+    "writes_failed": 0.0,
+    "writes_issued": 371.0,
+    "writes_rejected": 0.0,
+}
 
 
-def test_buffered_collector_counts_match_workload_stats():
-    simulation = make_buffered_simulation()
-    report = simulation.run()
-    collector = simulation.buffered_collector
-    assert collector is not None
-    stats = simulation.workload.stats
-    assert collector.reads_completed == stats.reads_completed
-    assert collector.writes_completed == stats.writes_completed
-    # Every completed operation's latency reached a sketch.
-    assert collector.read_sketch.count == stats.reads_completed
-    assert collector.write_sketch.count == stats.writes_completed
-    assert collector.flushes > 1
-    assert report.workload_summary["operations_completed"] > 0
+@pytest.fixture(scope="module")
+def two_shards():
+    plans = plan_shards(short_config(), 2)
+    return [run_shard(plan, index, 2) for index, plan in enumerate(plans)]
 
 
-def test_buffered_collector_percentiles_track_exact_ones():
-    simulation = make_buffered_simulation(sketch_accuracy=0.01)
-    simulation.run()
-    collector = simulation.buffered_collector
-    stats = simulation.workload.stats
-    exact_p95 = stats.latency_percentile(95.0, "read")
-    sketch_p95 = collector.read_sketch.percentile(95.0)
-    # Sketch rank differs from numpy interpolation by at most one sample, so
-    # allow a little beyond the pure relative-error bound.
-    assert sketch_p95 == pytest.approx(exact_p95, rel=0.05)
+def test_shard_reports_and_merged_figures_match_pins(two_shards):
+    digests = [
+        hashlib.sha256(json.dumps(result.report, sort_keys=True, default=repr).encode()).hexdigest()
+        for result in two_shards
+    ]
+    assert digests == SHARD_REPORT_DIGESTS
+    merged = merge_shard_results(two_shards)
+    assert merged["workload"] == MERGED_WORKLOAD_PIN
+    assert merged["sketches"]["read"]["count"] == 6872.0
+    assert merged["sketches"]["write"]["count"] == 371.0
+    assert merged["events_processed"] == 48074
 
 
-def test_buffered_collector_is_billed_to_monitoring_budget():
-    simulation = make_buffered_simulation()
-    simulation.run()
-    report = simulation.build_report()
-    overhead = report.monitoring_overhead
-    assert "buffered-collector" in overhead
-    entry = overhead["buffered-collector"]
-    assert entry["analysis_cpu_seconds"] > 0.0
-    assert entry["probe_operations"] == 0.0
+def test_buffered_collector_counts_match_workload_stats(two_shards):
+    for result in two_shards:
+        counters = result.workload_counters
+        # Every completed operation's latency reached a sketch.
+        assert result.read_sketch.count == counters["reads_completed"] > 0
+        assert result.write_sketch.count == counters["writes_completed"] > 0
 
 
-def test_buffered_collector_final_flush_is_idempotent():
-    simulation = make_buffered_simulation()
-    simulation.run()
-    collector = simulation.buffered_collector
-    count_after_run = collector.read_sketch.count
-    assert collector.flush() == 0  # build_report already drained the buffers
-    assert collector.read_sketch.count == count_after_run
-
-
-def test_buffered_collector_off_by_default():
-    simulation = Simulation(short_config(duration=30.0))
-    assert simulation.buffered_collector is None
-
-
-def test_buffered_collector_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        make_buffered_simulation(buffered_flush_interval=0.0)
+def test_buffered_collector_percentiles_track_exact_ones(two_shards):
+    for result in two_shards:
+        exact_p95 = result.report["workload"]["read_p95_ms"] / 1000.0
+        sketch_p95 = result.read_sketch.percentile(95.0)
+        # Sketch rank differs from numpy interpolation by at most one sample,
+        # so allow a little beyond the pure relative-error bound.
+        assert sketch_p95 == pytest.approx(exact_p95, rel=0.05)
 
 
 # ----------------------------------------------------------------------
